@@ -23,6 +23,7 @@ protocol.time_grid = geom:0.3:8.0:10
 p_sweep = 0.0, 0.15, 0.35, 0.7, 1.0
 estimator.kind = exact
 estimator.keep_spectra = true
+plot.input_dir = {out}
 """
 
 
@@ -34,7 +35,7 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = out / "demo.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(CONFIG.format(out=out))
 
     for argv in (["simulate", "--config", str(cfg), "--out", str(out)],
                  ["plot", "--config", str(cfg), "--out", str(out)]):

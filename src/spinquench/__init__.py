@@ -11,10 +11,9 @@ from .errors import (CapacityError, CollapseError, ConfigError, ConvergenceError
                      CoordinateFileError, EstimatorWarning, FitError, GeometryError,
                      InsufficientDataError, NumericalError, PackingError,
                      SaturationError, SpinQuenchError, UndefinedSpectrumError)
-from .evolution import (Propagator, QuenchProtocol, evolve_density_exact,
-                        expm_multiply_krylov, propagate_average, propagate_floquet)
+from .evolution import Propagator, QuenchProtocol, evolve_density_exact, expm_multiply_krylov
 from .mqc import (ClusterTrajectory, EstimatorConfig, MqcSpectrum, PhaseEncodingPlan,
-                  cluster_size, mqc_exact, mqc_typicality, plan_phases, trajectory)
+                  cluster_size, mqc_exact, plan_phases, trajectory)
 from .network import (CouplingNetwork, SpinGeometry, cubic_lattice_geometry,
                       dipolar_couplings, generate_geometry, load_geometry_file,
                       random_box_geometry)

@@ -7,11 +7,12 @@ Two modes:
   floquet   explicit alternation [exp(-i H_dd tau_dd) exp(-i H_0 tau_0)]^N,
             with p = tau_dd / (tau_0 + tau_dd) and t = N (tau_0 + tau_dd).
 
-State vectors are advanced matrix-free with a short-iterative-Lanczos
+State vectors are advanced by Propagator, a short-iterative-Lanczos
 exponential (full reorthogonalization, a-posteriori error estimate,
-adaptive step halving).  Densities up to 12 spins go through dense
-diagonalization of the two popcount-parity blocks, which H(p) never
-mixes; that block structure is what makes odd coherence orders vanish
+adaptive step halving) whose matvec reads the per-network sparse H_0 and
+H_dd.  Densities up to 12 spins go through dense diagonalization of the
+two popcount-parity blocks of the same matrices, which H(p) never mixes;
+that block structure is what makes odd coherence orders vanish
 identically on the exact path.
 """
 
@@ -146,8 +147,9 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, tol: float = DEFAU
             w -= alpha[j] * V[j]
             if j > 0:
                 w -= beta[j - 1] * V[j - 1]
-            # full reorthogonalization keeps the basis usable at tol ~ 1e-10
-            w -= V[: j + 1].T @ (V[: j + 1].conj() @ w)
+            # full reorthogonalization keeps the basis usable at tol ~ 1e-10;
+            # conj(V w*) = V* w without a conjugated copy of the basis
+            w -= V[: j + 1].T @ (V[: j + 1] @ w.conj()).conj()
             b = np.linalg.norm(w)
             if b <= 1e-14 * max(1.0, abs(alpha[: j + 1]).max()):
                 m_eff = j + 1
@@ -237,35 +239,6 @@ class Propagator:
         else:
             amp = self._cycles(v.amplitudes, int(round(pr.time_grid[i])), backward=False)
         return StateVector(v.basis, amp)
-
-
-def propagate_average(network: CouplingNetwork, p: float, dt: float, v: StateVector, *,
-                      tol: float = DEFAULT_TOL, krylov_dim: int = DEFAULT_KRYLOV_DIM) -> StateVector:
-    """exp(-i H(p) dt) v, matrix-free."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    ws = workspace_for(network)
-    amp = expm_multiply_krylov(lambda x: _apply_mixed_array(ws, p, x), v.amplitudes, dt,
-                               tol=tol, krylov_dim=krylov_dim)
-    return StateVector(v.basis, amp)
-
-
-def propagate_floquet(network: CouplingNetwork, tau_0: float, tau_dd: float, n_cycles: int,
-                      v: StateVector, *, tol: float = DEFAULT_TOL,
-                      krylov_dim: int = DEFAULT_KRYLOV_DIM) -> StateVector:
-    """[exp(-i H_dd tau_dd) exp(-i H_0 tau_0)]^n_cycles applied to v."""
-    if tau_0 < 0 or tau_dd < 0 or tau_0 + tau_dd <= 0:
-        raise ValueError("need tau_0, tau_dd >= 0 with a positive cycle time")
-    if n_cycles < 0:
-        raise ValueError("n_cycles must be >= 0")
-    ws = workspace_for(network)
-    amp = v.amplitudes
-    for _ in range(n_cycles):
-        amp = expm_multiply_krylov(lambda x: _apply_mixed_array(ws, 0.0, x), amp, tau_0,
-                                   tol=tol, krylov_dim=krylov_dim)
-        amp = expm_multiply_krylov(lambda x: _apply_mixed_array(ws, 1.0, x), amp, tau_dd,
-                                   tol=tol, krylov_dim=krylov_dim)
-    return StateVector(v.basis, amp)
 
 
 @dataclass

@@ -244,24 +244,6 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
     return out
 
 
-def mqc_typicality(network: CouplingNetwork, protocol: QuenchProtocol, t: float,
-                   plan: PhaseEncodingPlan) -> MqcSpectrum:
-    """Typicality spectrum at one grid time (t must lie on the protocol grid)."""
-    times = protocol.times
-    hits = np.nonzero(np.isclose(times, t, rtol=1e-12, atol=1e-15))[0]
-    if hits.size == 0:
-        raise ValueError(f"t={t!r} is not on the protocol time grid")
-    j = int(hits[0])
-    sub = _truncated_protocol(protocol, j + 1)
-    return mqc_typicality_grid(network, sub, plan)[j]
-
-
-def _truncated_protocol(protocol: QuenchProtocol, n_keep: int) -> QuenchProtocol:
-    return QuenchProtocol(protocol.mode, protocol.p, protocol.time_grid[:n_keep],
-                          tau_0=protocol.tau_0, tau_dd=protocol.tau_dd,
-                          krylov_dim=protocol.krylov_dim, tol=protocol.tol)
-
-
 def _gaussian_k(ks: np.ndarray, a: np.ndarray, n_spins: int) -> float:
     """ln a = c - k^2/K least squares over positive envelope points."""
     mask = a > 0
@@ -352,31 +334,3 @@ def trajectory(network: CouplingNetwork, protocol: QuenchProtocol,
     ks = np.array([cluster_size(s, method=estimator.k_method) for s in spectra])
     return ClusterTrajectory(p=protocol.p, times=protocol.times, K=ks,
                              spectra=spectra if estimator.keep_spectra else None, metadata=meta)
-
-
-def write_spectra_csv(spectra: list[MqcSpectrum], path):
-    """Flat CSV export: one row per (time, order)."""
-    lines = ["time,order,weight,std_err"]
-    for s in spectra:
-        se = s.std_err if s.std_err is not None else np.zeros_like(s.weights)
-        for o, w, e in zip(s.orders, s.weights, se):
-            # plain-float repr: numpy scalar repr is not parseable text
-            lines.append(f"{float(s.time)!r},{int(o)},{float(w)!r},{float(e)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_spectra_csv(path) -> list[dict]:
-    """Rows back as dicts; grouping by time is the caller's concern."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = line.strip().split(",")
-            rows.append({"time": float(vals[0]), "order": int(vals[1]),
-                         "weight": float(vals[2]), "std_err": float(vals[3])})
-    if header != ["time", "order", "weight", "std_err"]:
-        raise ValueError(f"unexpected spectra header {header}")
-    return rows

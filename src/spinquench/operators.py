@@ -1,11 +1,13 @@
-"""Bit-encoded Zeeman product basis and matrix-free spin-pair Hamiltonians.
+"""Bit-encoded Zeeman product basis and the sparse spin-pair Hamiltonians.
 
 Basis states are integers: bit i set means spin i up, so the total
-magnetic quantum number M_z = n_up - n/2 is a popcount away.  Both pair
-Hamiltonians act by scalar-coefficient gathers along two-bit-flip index
-maps:
+magnetic quantum number M_z = n_up - n/2 is a popcount away.  Each
+coupled pair {i, j} links a state to the one with bits i and j flipped,
+and each network gets its two pair Hamiltonians once, as real CSR
+matrices:
 
   zz part      diagonal, coefficient (1/2) sum_{i<j} d_ij s_i s_j, s = +-1
+               (part of H_dd)
   flip-flop    couples states differing in bits {i,j} with the two bits
                anti-aligned, amplitude -d_ij/2  (part of H_dd)
   flip-flip    same index map, bits aligned, amplitude -d_ij/2  (H_0,
@@ -13,7 +15,8 @@ maps:
 
 The mixed generator of the quench protocol is H(p) = (1-p) H_0 + p H_dd.
 In this basis every H(p) is real symmetric, and it never mixes the two
-popcount-parity sectors, which the dense evolution path exploits.
+popcount-parity sectors, which the dense evolution path exploits: its
+sector blocks are row/column slices of the same two matrices.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CapacityError, UndefinedSpectrumError
 from .network import CouplingNetwork
@@ -30,9 +34,6 @@ from .network import CouplingNetwork
 MAX_SPINS = 24
 
 _WORKSPACES: "weakref.WeakKeyDictionary[CouplingNetwork, _Workspace]" = weakref.WeakKeyDictionary()
-
-#: precompute per-pair alignment tables only up to this many table entries
-_DIFFER_TABLE_BUDGET = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,39 +173,48 @@ class DensityMatrix:
 
 
 class _Workspace:
-    """Per-network scratch: pair index maps and diagonal, built once."""
+    """Per-network operators, built once: H_0 and H_dd as CSR matrices.
 
-    __slots__ = ("basis", "pair_masks", "pair_amp", "diag", "bit_rows", "pair_bits", "differ")
+    Pair k with bits {i, j} links every basis state s to its partner
+    s ^ (2^i + 2^j) with amplitude -d_ij/2.  The partner lies in the same
+    M_z sector exactly when the two bits are anti-aligned (flip-flop, in
+    H_dd); otherwise M_z moves by +-2 (flip-flip, in H_0).  H_dd also holds
+    the zz diagonal.  Both matrices are filled from one (dim, pairs + 1)
+    layout, column 0 the diagonal and column k + 1 the partner of pair k;
+    row-major selection of that layout gives CSR order directly.
+    """
+
+    __slots__ = ("basis", "h0", "hdd")
 
     def __init__(self, network: CouplingNetwork):
         basis = build_basis(network.n_spins)
         self.basis = basis
         dim = basis.dimension
-        states = basis.states
-        bit_rows = np.empty((network.n_spins, dim), dtype=np.uint8)
-        for i in range(network.n_spins):
-            bit_rows[i] = (states >> i) & 1
         pairs = list(network.pairs())
-        self.pair_masks = [(1 << i) | (1 << j) for i, j, _ in pairs]
-        self.pair_amp = np.array([-0.5 * d for _, _, d in pairs])
-        self.pair_bits = [(i, j) for i, j, _ in pairs]
-        diag = np.zeros(dim)
-        for i, j, d in pairs:
-            si = 2.0 * bit_rows[i] - 1.0
-            sj = 2.0 * bit_rows[j] - 1.0
-            diag += (0.5 * d) * si * sj
-        self.diag = diag
-        self.bit_rows = bit_rows
-        if len(pairs) * dim <= _DIFFER_TABLE_BUDGET:
-            self.differ = [bit_rows[i] ^ bit_rows[j] for i, j, _ in pairs]
-        else:
-            self.differ = None
+        masks = np.array([(1 << i) | (1 << j) for i, j, _ in pairs], dtype=np.int32)
+        amp = np.array([0.0] + [-0.5 * d for _, _, d in pairs])
+        cols = np.empty((dim, amp.size), dtype=np.int32)
+        cols[:, 0] = basis.states
+        np.bitwise_xor(cols[:, :1], masks, out=cols[:, 1:])
+        same_sector = basis.n_up[cols] == basis.n_up[:, None]
+        self.hdd = self._csr(cols, amp, same_sector)
+        # s_i s_j = 1 - 2 [anti-aligned], so the zz diagonal is
+        # sum_k d_k / 2 plus twice the flip-flop row sum
+        rows = self.hdd.indptr[:-1]
+        zz = 2.0 * np.add.reduceat(self.hdd.data, rows) - amp.sum()
+        self.hdd.data[rows] = zz
+        # every other partner is two M_z steps away: the flip-flip terms
+        np.logical_not(same_sector, out=same_sector)
+        self.h0 = self._csr(cols, amp, same_sector)
 
-    def differ_row(self, k: int) -> np.ndarray:
-        if self.differ is not None:
-            return self.differ[k]
-        i, j = self.pair_bits[k]
-        return self.bit_rows[i] ^ self.bit_rows[j]
+    @staticmethod
+    def _csr(cols: np.ndarray, amp: np.ndarray, keep: np.ndarray):
+        dim = cols.shape[0]
+        # indptr holds nnz; scipy keeps int32 indices only if indptr is int32 too
+        indptr = np.zeros(dim + 1, dtype=np.int32 if cols.size < 2**31 else np.int64)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        data = np.broadcast_to(amp, cols.shape)[keep]
+        return sparse.csr_array((data, cols[keep], indptr), shape=(dim, dim))
 
 
 def workspace_for(network: CouplingNetwork) -> _Workspace:
@@ -219,18 +229,25 @@ def basis_for(network: CouplingNetwork) -> SpinBasis:
     return workspace_for(network).basis
 
 
+def _product(h, v: np.ndarray) -> np.ndarray:
+    """h @ v for a real CSR h; complex v goes through its float64 view
+    (dim, 2k), which spares scipy a complex copy of h per call."""
+    if not np.iscomplexobj(v):
+        return h @ v
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    out = h @ v.view(np.float64).reshape(v.shape[0], -1)
+    return out.view(np.complex128).reshape(v.shape)
+
+
 def _apply_mixed_array(ws: _Workspace, p: float, v: np.ndarray) -> np.ndarray:
     """out = [(1-p) H_0 + p H_dd] v for v of shape (dim,) or (dim, k)."""
-    states = ws.basis.states
-    diag = p * ws.diag
-    out = diag[:, None] * v if v.ndim == 2 else diag * v
-    for k, mask in enumerate(ws.pair_masks):
-        amp = ws.pair_amp[k]
-        differ = ws.differ_row(k)
-        # aligned pairs feel the double-quantum term, anti-aligned the flip-flop
-        coef = amp * ((1.0 - p) + (2.0 * p - 1.0) * differ)
-        w = v[states ^ mask]
-        out += coef[:, None] * w if v.ndim == 2 else coef * w
+    if p == 0.0:
+        return _product(ws.h0, v)
+    if p == 1.0:
+        return _product(ws.hdd, v)
+    out = _product(ws.h0, v)
+    out *= 1.0 - p
+    out += p * _product(ws.hdd, v)
     return out
 
 
@@ -269,17 +286,10 @@ def dense_hamiltonian(network: CouplingNetwork, p: float, indices: np.ndarray | 
     present in the coupling network (the popcount-parity sectors are).
     """
     ws = workspace_for(network)
-    dim = ws.basis.dimension
-    states = ws.basis.states
-    h = np.zeros((dim, dim))
-    h[states, states] = p * ws.diag
-    for k, mask in enumerate(ws.pair_masks):
-        amp = ws.pair_amp[k]
-        coef = amp * ((1.0 - p) + (2.0 * p - 1.0) * ws.differ_row(k))
-        h[states ^ mask, states] += coef
+    h = (1.0 - p) * ws.h0 + p * ws.hdd
     if indices is not None:
-        h = h[np.ix_(indices, indices)]
-    return h
+        h = h[indices][:, indices]
+    return h.toarray()
 
 
 def coherence_order_weights(rho: np.ndarray, basis: SpinBasis) -> np.ndarray:

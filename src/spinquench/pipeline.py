@@ -19,9 +19,8 @@ from . import io as sqio
 from . import plots
 from .config import RunConfig
 from .errors import CapacityError, ConfigError
-from .evolution import MAX_DENSE_SPINS
+from .evolution import DEFAULT_KRYLOV_DIM, MAX_DENSE_SPINS
 from .mqc import ClusterTrajectory, trajectory
-from .operators import MAX_SPINS
 from .scaling import (fit_growth_exponent, full_scaling_analysis, rescale,
                       synth_trajectories)
 
@@ -48,8 +47,14 @@ def _ensure_outdir(out_dir) -> Path:
     return out
 
 
-def _capacity_check(config: RunConfig, n_spins: int):
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _capacity_check(config: RunConfig, network):
     """Reject oversized requests before any evolution starts."""
+    n_spins = network.n_spins
     kind = config.get("estimator.kind", "exact")
     if kind == "exact":
         cap = min(MAX_DENSE_SPINS, config.get("numerics.max_dense_spins", MAX_DENSE_SPINS))
@@ -57,9 +62,19 @@ def _capacity_check(config: RunConfig, n_spins: int):
             raise CapacityError(
                 f"exact estimator capped at {cap} spins, geometry has {n_spins}; "
                 "use estimator.kind = typicality or a smaller geometry")
-    elif n_spins > MAX_SPINS:
-        raise CapacityError(f"typicality estimator capped at {MAX_SPINS} spins, "
-                            f"geometry has {n_spins}")
+        return
+    # lower bound: H_0 and H_dd store one 12-byte entry (float64 value,
+    # int32 column) per state for the diagonal and for every coupled pair,
+    # and the Lanczos basis holds krylov_dim + 1 complex vectors
+    dim = 1 << n_spins
+    n_pairs = sum(1 for _ in network.pairs())
+    krylov_dim = config.get("numerics.krylov_dim", DEFAULT_KRYLOV_DIM)
+    need = 12 * dim * (n_pairs + 1) + 16 * dim * (krylov_dim + 1)
+    have = _physical_memory()
+    if need > have:
+        raise CapacityError(
+            f"typicality on {n_spins} spins with {n_pairs} coupled pairs needs at least "
+            f"{need / 2**30:.2f} GiB, more than the {have / 2**30:.2f} GiB of physical memory")
 
 
 def _run_one(config: RunConfig, network, p: float, seed: int) -> ClusterTrajectory:
@@ -81,7 +96,7 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     """One trajectory file per (p, seed); resumes by config digest."""
     out = _ensure_outdir(out_dir)
     network = config.build_network()
-    _capacity_check(config, network.n_spins)
+    _capacity_check(config, network)
     digest = config.digest()
     # dry-run validation of every task before computing anything
     for p in config.p_sweep:

@@ -94,8 +94,6 @@ def test_01_selection_rules(chain6, lattice8, lattice10):
 
 def test_02_oracle_equivalence(chain6, lattice8, lattice10):
     with criterion(2, "oracle equivalence") as check:
-        from spinquench.evolution import propagate_average
-
         rng = np.random.default_rng(5)
         worst = 0.0
         for net in (chain6, lattice8):
@@ -109,9 +107,10 @@ def test_02_oracle_equivalence(chain6, lattice8, lattice10):
                 if p not in h_cache:
                     h_cache[p] = h_mixed_dense(net, p)
                 dense = evolve_state_dense(h_cache[p], v.amplitudes, t)
-                free = propagate_average(net, p, t, v).amplitudes
+                prop = Propagator(net, QuenchProtocol.average(p, [t]))
+                free = prop.span_forward(v, 0).amplitudes
                 worst = max(worst, float(np.abs(dense - free).max()))
-        check(worst <= 1e-8, f"dense vs matrix-free max component err {worst:.2e} (20 pairs)")
+        check(worst <= 1e-8, f"dense vs Propagator max component err {worst:.2e} (20 pairs)")
 
         times = np.array([0.4, 1.1, 2.5])
         total = within = 0

@@ -10,8 +10,6 @@ from spinquench.evolution import (
     default_time_grid,
     evolve_density_exact,
     expm_multiply_krylov,
-    propagate_average,
-    propagate_floquet,
 )
 from spinquench.mqc import mqc_exact
 from spinquench.network import SpinGeometry, dipolar_couplings
@@ -45,6 +43,16 @@ def jittered_network(n, seed):
 def unit_state(basis, seed):
     v = gaussian_state(basis, seed)
     return StateVector(basis, v.amplitudes / v.norm)
+
+
+def evolve(net, p, t, v, tol=1e-10):
+    """exp(-i H(p) t) v through a one-point average-mode Propagator."""
+    return Propagator(net, QuenchProtocol.average(p, [t], tol=tol)).span_forward(v, 0)
+
+
+def evolve_cycles(net, p, tau_c, n_cycles, v):
+    """n_cycles Floquet cycles of length tau_c through a Propagator."""
+    return Propagator(net, QuenchProtocol.floquet(p, tau_c, [n_cycles], tol=1e-12)).span_forward(v, 0)
 
 
 class TestProtocolValidation:
@@ -90,7 +98,7 @@ class TestPropagateAverage:
     def test_zero_time_is_identity(self):
         net = chain_network(4)
         v = unit_state(basis_for(net), 0)
-        out = propagate_average(net, 0.3, 0.0, v)
+        out = evolve(net, 0.3, 0.0, v)
         assert np.array_equal(out.amplitudes, v.amplitudes)
 
     @pytest.mark.parametrize("dt", [0.3, 0.9, 2.0])
@@ -101,7 +109,7 @@ class TestPropagateAverage:
         net = dipolar_couplings(geo)
         d = net.couplings[0, 1]
         b = basis_for(net)
-        out = propagate_average(net, 0.0, dt, basis_state(b, 0b00), tol=1e-12)
+        out = evolve(net, 0.0, dt, basis_state(b, 0b00), tol=1e-12)
         assert_allclose(out.amplitudes[0b11], 1j * np.sin(d * dt / 2), atol=1e-11)
         assert_allclose(out.amplitudes[0b00], np.cos(d * dt / 2), atol=1e-11)
 
@@ -110,7 +118,7 @@ class TestPropagateAverage:
         net = jittered_network(6, 17)
         b = basis_for(net)
         v = unit_state(b, 2)
-        got = propagate_average(net, p, t, v, tol=1e-10).amplitudes
+        got = evolve(net, p, t, v, tol=1e-10).amplitudes
         want = evolve_state_dense(h_mixed_dense(net, p), v.amplitudes, t)
         assert np.max(np.abs(got - want)) < 1e-8
 
@@ -118,15 +126,16 @@ class TestPropagateAverage:
         net = jittered_network(8, 23)
         v = unit_state(basis_for(net), 4)
         tol = 1e-10
-        out = propagate_average(net, 0.35, 5.0, v, tol=tol)
+        out = evolve(net, 0.35, 5.0, v, tol=tol)
         assert abs(out.norm - 1.0) <= 10 * tol
 
     def test_backward_after_forward_restores_input(self):
         net = jittered_network(7, 29)
         v = unit_state(basis_for(net), 6)
         tol = 1e-10
-        fwd = propagate_average(net, 0.6, 3.0, v, tol=tol)
-        back = propagate_average(net, 0.6, -3.0, fwd, tol=tol)
+        prop = Propagator(net, QuenchProtocol.average(0.6, [3.0], tol=tol))
+        fwd = prop.step_forward(v, 0)
+        back = prop.step_backward(fwd, 0)
         fidelity = abs(np.vdot(v.amplitudes, back.amplitudes))
         assert fidelity >= 1.0 - 100 * tol
 
@@ -135,15 +144,15 @@ class TestPropagateFloquet:
     def test_zero_dipolar_leg_reduces_to_pure_quench(self):
         net = chain_network(5)
         v = unit_state(basis_for(net), 8)
-        cycles = propagate_floquet(net, 0.5, 0.0, 4, v, tol=1e-12)
-        direct = propagate_average(net, 0.0, 2.0, v, tol=1e-12)
+        cycles = evolve_cycles(net, 0.0, 0.5, 4, v)
+        direct = evolve(net, 0.0, 2.0, v, tol=1e-12)
         assert np.max(np.abs(cycles.amplitudes - direct.amplitudes)) < 1e-10
 
     def test_zero_quench_leg_reduces_to_pure_dipolar(self):
         net = chain_network(5)
         v = unit_state(basis_for(net), 9)
-        cycles = propagate_floquet(net, 0.0, 0.5, 4, v, tol=1e-12)
-        direct = propagate_average(net, 1.0, 2.0, v, tol=1e-12)
+        cycles = evolve_cycles(net, 1.0, 0.5, 4, v)
+        direct = evolve(net, 1.0, 2.0, v, tol=1e-12)
         assert np.max(np.abs(cycles.amplitudes - direct.amplitudes)) < 1e-10
 
     def test_first_order_convergence_to_average_hamiltonian(self):
@@ -152,23 +161,23 @@ class TestPropagateFloquet:
         net = jittered_network(6, 31)
         v = unit_state(basis_for(net), 10)
         p, t_total = 0.4, 2.0
-        ref = propagate_average(net, p, t_total, v, tol=1e-12)
+        ref = evolve(net, p, t_total, v, tol=1e-12)
         errs = []
         for n_cyc in (10, 20, 40):
             tau_c = t_total / n_cyc
-            got = propagate_floquet(net, (1 - p) * tau_c, p * tau_c, n_cyc, v, tol=1e-12)
+            got = evolve_cycles(net, p, tau_c, n_cyc, v)
             errs.append(np.max(np.abs(got.amplitudes - ref.amplitudes)))
         assert errs[0] > errs[1] > errs[2]
         for a, b in zip(errs, errs[1:]):
             assert 1.6 < a / b < 2.6
 
     def test_invalid_cycle_parameters(self):
-        net = chain_network(3)
-        v = unit_state(basis_for(net), 0)
-        with pytest.raises(ValueError):
-            propagate_floquet(net, 0.0, 0.0, 2, v)
-        with pytest.raises(ValueError):
-            propagate_floquet(net, 0.5, 0.5, -1, v)
+        """The protocol rejects a zero cycle time and a negative cycle
+        count before any Propagator is built."""
+        with pytest.raises(ValueError, match="tau_0 \\+ tau_dd > 0"):
+            QuenchProtocol.floquet(0.0, 0.0, [2])
+        with pytest.raises(ValueError, match="non-negative"):
+            QuenchProtocol.floquet(0.5, 1.0, [-1])
 
 
 class TestKrylovStep:

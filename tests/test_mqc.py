@@ -14,12 +14,9 @@ from spinquench.mqc import (
     MqcSpectrum,
     PhaseEncodingPlan,
     cluster_size,
-    mqc_typicality,
     mqc_typicality_grid,
     plan_phases,
-    read_spectra_csv,
     trajectory,
-    write_spectra_csv,
 )
 from spinquench.network import SpinGeometry, dipolar_couplings
 from spinquench.operators import DensityMatrix, basis_for, coherence_order_decompose
@@ -164,7 +161,7 @@ class TestTypicality:
         net = jittered_network(5, 3)
         prot = QuenchProtocol.average(0.4, [0.0, 0.5])
         plan = plan_phases(5, n_samples=3, base_seed=0)
-        spec = mqc_typicality(net, prot, 0.0, plan)
+        spec = mqc_typicality_grid(net, prot, plan)[0]
         assert spec.estimator == "typicality"
         assert spec.weight(0) > 1.0 - 1e-9
         assert np.all(np.delete(spec.weights, 5) < 1e-9)
@@ -196,21 +193,6 @@ class TestTypicality:
             agree += int(np.sum(dev <= np.maximum(tol, 1e-9)))
             total += dev.size
         assert agree / total >= 0.95
-
-    def test_off_grid_time_rejected(self):
-        net = jittered_network(4, 7)
-        prot = QuenchProtocol.average(0.2, [0.5, 1.0])
-        plan = plan_phases(4, n_samples=2)
-        with pytest.raises(ValueError, match="not on the protocol time grid"):
-            mqc_typicality(net, prot, 0.7, plan)
-
-    def test_single_time_matches_grid_entry(self):
-        net = jittered_network(5, 9)
-        prot = QuenchProtocol.average(0.5, [0.4, 1.2])
-        plan = plan_phases(5, n_samples=3, base_seed=6)
-        full = mqc_typicality_grid(net, prot, plan)
-        single = mqc_typicality(net, prot, 1.2, plan)
-        assert np.array_equal(single.weights, full[1].weights)
 
     def test_aliasing_grid_rejected(self):
         net = jittered_network(8, 13)
@@ -288,27 +270,3 @@ class TestTrajectory:
             EstimatorConfig(k_method="fwhm")
         with pytest.raises(ValueError, match="n_samples"):
             EstimatorConfig(n_samples=0)
-
-
-class TestSpectraCsv:
-    def test_round_trip(self, tmp_path):
-        net = jittered_network(4, 21)
-        prot = QuenchProtocol.average(0.3, [0.5, 1.5])
-        tr = trajectory(net, prot, EstimatorConfig(kind="exact", keep_spectra=True))
-        path = tmp_path / "spectra.csv"
-        write_spectra_csv(tr.spectra, path)
-        rows = read_spectra_csv(path)
-        assert len(rows) == 2 * 9
-        by_time = {}
-        for r in rows:
-            by_time.setdefault(r["time"], {})[r["order"]] = r["weight"]
-        for spec in tr.spectra:
-            stored = by_time[spec.time]
-            for o in spec.orders:
-                assert stored[int(o)] == spec.weight(int(o))
-
-    def test_header_enforced_on_read(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,n,w,e\n0.0,0,1.0,0.0\n")
-        with pytest.raises(ValueError, match="header"):
-            read_spectra_csv(path)

@@ -8,6 +8,7 @@ from spinquench.network import SpinGeometry, dipolar_couplings
 from spinquench.operators import (
     DensityMatrix,
     StateVector,
+    _apply_mixed_array,
     apply_h0,
     apply_hdd,
     apply_mixed,
@@ -17,6 +18,7 @@ from spinquench.operators import (
     coherence_order_decompose,
     dense_hamiltonian,
     gaussian_state,
+    workspace_for,
 )
 
 from oracles import (
@@ -221,6 +223,35 @@ class TestDenseOracleEquivalence:
         want = 0.5 * (h0_dense(net) + h_dd_dense(net)) @ v.amplitudes
         got = apply_mixed(net, 0.5, v).amplitudes
         assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_array_action_on_every_input_layout(self, p):
+        """The sparse product takes complex input through a float64 view,
+        so each layout the propagators and the benchmark pass must match
+        the oracle: a C-ordered complex block, strided and transposed
+        complex input, and a real vector."""
+        net = random_network(6, 31)
+        ws = workspace_for(net)
+        dim = ws.basis.dimension
+        h = h_mixed_dense(net, p)
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((dim, 6)) + 1j * rng.standard_normal((dim, 6))
+        real = rng.standard_normal(dim)
+        layouts = {
+            "block": block,
+            "strided columns": block[:, ::2],
+            "strided rows": np.repeat(block[:, 0], 2)[::2],
+            "transposed": np.ascontiguousarray(block.T).T,
+            "real vector": real,
+        }
+        scale = 1e-12 * max(1.0, float(np.abs(h).max()))
+        for name, v in layouts.items():
+            before = v.copy()
+            got = _apply_mixed_array(ws, p, v)
+            assert got.shape == v.shape, name
+            assert np.max(np.abs(got - h @ v)) < scale * dim, name
+            assert np.array_equal(v, before), name
+        assert not np.iscomplexobj(_apply_mixed_array(ws, p, real))
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
     def test_dense_hamiltonian_matches_oracle(self, p):

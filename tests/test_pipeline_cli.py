@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from spinquench import io as sqio
+from spinquench import pipeline
 from spinquench.cli import main
 from spinquench.config import RunConfig
 from spinquench.errors import CapacityError, ConfigError, SaturationError
@@ -178,6 +179,23 @@ class TestSimulate:
         with pytest.raises(CapacityError, match="capped at 4"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
         assert list(tmp_path.glob("traj_*")) == []
+
+    def test_typicality_capacity_follows_memory(self, tmp_path, monkeypatch):
+        """The typicality check compares a byte estimate with physical
+        memory: 12 B per state for the diagonal and each coupled pair of
+        the sparse H_0 + H_dd, plus krylov_dim + 1 complex Lanczos vectors.
+        The 2x2x1 lattice has 4 spins and 6 pairs."""
+        text = SIM_SMALL.replace("estimator.kind = exact", "estimator.kind = typicality\n"
+                                 "estimator.n_samples = 2\nnumerics.krylov_dim = 10")
+        need = 12 * 16 * (6 + 1) + 16 * 16 * (10 + 1)
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
+        with pytest.raises(CapacityError, match="physical memory"):
+            cmd_simulate(RunConfig.parse(text), tmp_path)
+        assert list(tmp_path.glob("traj_*")) == []
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
+        assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 2
 
     def test_oversized_lattice_rejected_at_geometry(self, tmp_path):
         # the hard 24-spin cap fires while the geometry is built, before
@@ -544,3 +562,13 @@ class TestEntryPoints:
             assert proc.stdout.startswith("usage: spinquench")
             for sub in ("simulate", "synth", "scale", "plot"):
                 assert sub in proc.stdout
+
+
+class TestScripts:
+    def test_demo_sweep_runs_to_completion(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo_sweep.py"
+        proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("trajectories.svg", "spectrum_heatmap.svg"):
+            assert count_tags((tmp_path / name).read_text(), "svg") >= 1
