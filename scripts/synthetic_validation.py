@@ -6,10 +6,11 @@ on them, and prints planted vs recovered values side by side, then the
 bootstrap 95% interval of p_c and whether it covers the planted value.
 
 With the defaults (p_c = 0.0266, nu = 0.42, noise 0.01, seed 7) the
-growth exponent and beta = 1 come back, but the critical fit locks p_c
-onto the sampled p = 0.02 and returns nu = s = 0.688; the p_c interval
-[0.0188, 0.0221] misses the planted value.  This is the lock-on of the
-xi fit onto a sampled p, not a flaw of the script.
+growth exponent (2.8737), beta = 1, p_c = 0.026633 and nu = s = 0.4153
+come back, and the p_c interval [0.026605, 0.026660] just misses the
+planted value.  The interval is that narrow because the bootstrap
+resamples only the residuals of the final xi fit, not the collapse
+before it.
 """
 
 import argparse
@@ -80,7 +81,7 @@ def main():
     if boot:
         lo, hi = boot["p_c"]["ci_low"], boot["p_c"]["ci_high"]
         covered = "covers" if lo <= args.p_c <= hi else "MISSES"
-        print(f"\n  p_c 95% interval [{lo:.4f}, {hi:.4f}] {covered} the planted value")
+        print(f"\n  p_c 95% interval [{lo:#.5g}, {hi:#.5g}] {covered} the planted value")
     print(f"\nreport: {out}/report.json")
 
 

@@ -220,7 +220,10 @@ def cmd_scale(config: RunConfig, out_dir, beta_grid=None, anchor_p=None,
                 "p_c": result.p_c, "s": result.s, "branch_gauge": result.branch_gauge,
                 "std_err": result.std_err},
         "residuals": {"collapse": result.collapse_residual,
-                      "beta_scan": result.beta_residuals[result.beta]},
+                      "beta_scan": result.beta_residuals[result.beta],
+                      "pairs": [{"p_lo": lo, "p_hi": hi, "rms": math.sqrt(sq / n), "n": n}
+                                for (lo, hi), (sq, n) in result.collapse.pair_stats.items()],
+                      "excluded_pair": result.collapse.excluded_pair()},
         "wegner_dimension_check": result.wegner_dimension_check,
         "anchor_p": float(anchor_p),
         "bootstrap": result.bootstrap,

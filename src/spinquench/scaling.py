@@ -10,10 +10,14 @@ curves K(t, p) are rescaled as
 and collapsed onto one another by horizontal shifts; exp(shift) is the
 raw scaling factor xi(p) up to one overall gauge constant, fixed by
 anchoring xi at a perturbation strength whose K(t) plateau K_loc is
-measurable (xi(anchor) = K_loc^(1/3)).  The normalized xi(p) is fitted
-with (A |p - p_c|^nu + B)^(-1) to locate the transition.  The exponent
-ratio beta = s/nu is not assumed: a scan re-runs the collapse per beta
-and keeps the residual-minimizing value.
+measurable (xi(anchor) = K_loc^(1/3)).  Only adjacent curves are
+compared, and a pair's mismatch depends only on the difference of its
+two shifts, so the collapse is solved one pair at a time.  The
+normalized xi(p) is fitted with (A |p - p_c|^nu + B)^(-1) to locate the
+transition, after a fit that fixes which curves lie below p_c profiles
+out their unknown common normalization.  The exponent ratio beta = s/nu
+is not assumed: a scan re-runs the collapse per beta and keeps the
+residual-minimizing value.
 
 Note the factor nu is absorbed into the shift variable: x uses k2' =
 k2 nu, so the shifts recover log xi directly rather than log xi^(1/nu).
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import least_squares, minimize, minimize_scalar, nnls
+from scipy.optimize import least_squares, minimize_scalar, nnls
 
 from .errors import CollapseError, FitError, InsufficientDataError, SaturationError
 from .mqc import ClusterTrajectory
@@ -109,17 +113,25 @@ class CollapseResult:
     def xi_raw(self) -> dict:
         return {p: math.exp(s) for p, s in self.shifts.items()}
 
+    def excluded_pair(self):
+        """The (p_lo, p_hi) pair with the largest RMS mismatch when there are
+        >= 3 pairs, else None: the pair trimmed_residual leaves out."""
+        if len(self.pair_stats) < 3:
+            return None
+        return max(self.pair_stats,
+                   key=lambda k: self.pair_stats[k][0] / max(self.pair_stats[k][1], 1))
+
     def trimmed_residual(self) -> float:
         """RMS deviation excluding the single worst pair (when >= 3 pairs).
 
         Curves adjacent to a critical point never truly overlap (they sit
         on opposite branches of the scaling function), so one pair can
         carry an irreducible mismatch that says nothing about the overall
-        collapse quality.
+        collapse quality.  collapse solves every pair on its own, so that
+        mismatch has moved no other shift; it is only left out here.
         """
-        stats = list(self.pair_stats.values())
-        if len(stats) >= 3:
-            stats.remove(max(stats, key=lambda sc: sc[0] / max(sc[1], 1)))
+        excluded = self.excluded_pair()
+        stats = [sc for k, sc in self.pair_stats.items() if k != excluded]
         sq = sum(s for s, _ in stats)
         cnt = sum(c for _, c in stats)
         return math.sqrt(sq / cnt) if cnt else 0.0
@@ -168,6 +180,7 @@ class ScalingResult:
     pooled: ScalingFunctionSample
     bootstrap: dict | None = None
     branch_gauge: float = 1.0
+    collapse: CollapseResult | None = None
 
     def __post_init__(self):
         if any(v <= 0 for v in self.xi.values()):
@@ -315,12 +328,18 @@ def collapse(curves: list[RescaledCurve]) -> CollapseResult:
     irreducible mismatch could shed comparison points by sliding apart,
     which would fake a good collapse.
 
-    A pair whose mismatch stays an order of magnitude above the others
-    (the signature of a pair bracketing a transition, which no shift can
-    reconcile) is detected after a first pass and re-solved with its
-    weight reduced to epsilon, so its irreducible deviation cannot drag
-    the shifts of well-matched neighbors.  The lowest-p curve is the
-    fixed reference.  Deterministic given the data.
+    A pair's cost depends only on the difference delta of its two
+    shifts, so the objective is a sum of independent one-dimensional
+    terms and each pair is solved on its own.  Its cost jumps at every
+    delta where a sample enters or leaves the overlap and is smooth in
+    between, so the search runs over those smooth pieces: each is probed
+    at its lower cut, just inside both ends and at its middle, and a
+    bounded scalar search polishes the three pieces with the lowest
+    probes.  The shifts are
+    the cumulative sums of the deltas, with the lowest-p curve the fixed
+    reference.  A pair bracketing a transition, whose mismatch no shift
+    can reconcile, therefore moves no other pair's delta;
+    trimmed_residual names it afterwards.  Deterministic given the data.
     """
     curves = sorted(curves, key=lambda c: c.p)
     for c in curves:
@@ -330,92 +349,48 @@ def collapse(curves: list[RescaledCurve]) -> CollapseResult:
         pooled = ScalingFunctionSample(curves[0].x.copy(), curves[0].y.copy(),
                                        np.full(curves[0].x.size, curves[0].p))
         return CollapseResult({curves[0].p: 0.0}, 0.0, pooled, {})
-    m = len(curves)
+    # no pair overlaps once its shift difference exceeds the pooled x span
     span = max(c.x[-1] for c in curves) - min(c.x[0] for c in curves)
-    span = max(span, 1.0)
 
-    # barrier keeps each pair in contact over at least half the shorter
-    # span; scaled to dominate any in-overlap mismatch, never downweighted
-    def pair_cost(i, s_lo, s_hi, weights):
-        c1, c2 = curves[i], curves[i + 1]
-        sq, info, ov = _pair_mismatch(c1, c2, s_lo, s_hi)
-        min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
-        if sq is None:
-            return 1e6 * (1.0 + (min_ov - ov) ** 2)
-        deficit = max(0.0, min_ov - ov)
-        return weights[i] * sq + 1e6 * deficit * deficit
-
-    def objective(shift_tail, weights):
-        s = np.concatenate([[0.0], shift_tail])
-        return sum(pair_cost(i, s[i], s[i + 1], weights) for i in range(m - 1))
-
-    def refine(shifts, weights):
-        if m > 2:
-            nm = minimize(objective, shifts[1:], args=(weights,), method="Nelder-Mead",
-                          options={"xatol": 1e-10, "fatol": 1e-14,
-                                   "maxiter": 4000, "maxfev": 8000})
-            shifts[1:] = nm.x
-        # cyclic single-coordinate polish: the objective couples only
-        # neighboring shifts, so coordinate descent converges fast
-        window = 0.25
-        for _ in range(60):
-            moved = 0.0
-            for i in range(1, m):
-                def single(si, i=i):
-                    tail = shifts[1:].copy()
-                    tail[i - 1] = si
-                    return objective(tail, weights)
-                res = minimize_scalar(single, bounds=(shifts[i] - window, shifts[i] + window),
-                                      method="bounded", options={"xatol": 1e-14})
-                moved = max(moved, abs(res.x - shifts[i]))
-                shifts[i] = res.x
-            window = max(window * 0.5, 1e-11)
-            if moved < 1e-12:
-                break
-        return shifts
-
-    def pair_rms(shifts):
-        out = []
-        for i in range(m - 1):
-            sq, cnt, _ = _pair_mismatch(curves[i], curves[i + 1], shifts[i], shifts[i + 1])
-            out.append(math.inf if sq is None else math.sqrt(sq / cnt))
-        return out
-
-    # sequential warm start in p order, then simultaneous refinement
-    weights = np.ones(m - 1)
-    shifts = np.zeros(m)
-    for i in range(1, m):
-        def single(si, i=i):
-            return pair_cost(i - 1, shifts[i - 1], si, weights)
-        grid = shifts[i - 1] + np.linspace(-span, span, 201)
-        coarse = [single(g) for g in grid]
-        best = grid[int(np.argmin(coarse))]
-        step = grid[1] - grid[0]
-        res = minimize_scalar(single, bounds=(best - 2 * step, best + 2 * step),
-                              method="bounded", options={"xatol": 1e-12})
-        shifts[i] = res.x
-    shifts = refine(shifts, weights)
-
-    if m >= 4:
-        rms = pair_rms(shifts)
-        finite = sorted(r for r in rms if math.isfinite(r))
-        med = finite[len(finite) // 2] if finite else 0.0
-        worst = int(np.argmax(rms))
-        if med > 0 and rms[worst] > 10.0 * med:
-            weights[worst] = 1e-6
-            shifts = refine(shifts, weights)
-
-    total_sq = 0.0
-    total_cnt = 0
+    deltas = []
     pair_stats = {}
-    for i in range(m - 1):
-        sq, cnt, _ = _pair_mismatch(curves[i], curves[i + 1], shifts[i], shifts[i + 1])
+    for c1, c2 in zip(curves, curves[1:]):
+        min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
+
+        # barrier keeps the pair in contact over at least half the shorter
+        # span; scaled to dominate any in-overlap mismatch
+        def cost(delta, c1=c1, c2=c2, min_ov=min_ov):
+            sq, _, ov = _pair_mismatch(c1, c2, 0.0, delta)
+            if sq is None:
+                return 1e6 * (1.0 + (min_ov - ov) ** 2)
+            deficit = max(0.0, min_ov - ov)
+            return sq + 1e6 * deficit * deficit
+
+        # the cost jumps wherever a sample enters or leaves the overlap and
+        # is smooth in between: probe each smooth piece at its lower cut,
+        # just inside both ends and at its middle, then polish inside the
+        # three best pieces
+        cuts = np.concatenate([c1.x - c2.x[0], c1.x - c2.x[-1], c1.x[0] - c2.x, c1.x[-1] - c2.x])
+        edges = np.unique(np.concatenate([[-span, span], cuts[np.abs(cuts) < span]]))
+        lo, hi = edges[:-1], edges[1:]
+        inset = 1e-9 * (hi - lo)
+        probes = np.stack([lo, lo + inset, 0.5 * (lo + hi), hi - inset])
+        values = np.array([[cost(d) for d in row] for row in probes])
+        best = np.unravel_index(np.argmin(values), values.shape)
+        delta, value = probes[best], values[best]
+        for k in np.argsort(values.min(axis=0))[:3]:
+            res = minimize_scalar(cost, bounds=(lo[k], hi[k]), method="bounded",
+                                  options={"xatol": 1e-12})
+            if res.fun < value:
+                delta, value = res.x, res.fun
+        sq, cnt, _ = _pair_mismatch(c1, c2, 0.0, delta)
         if sq is None:
-            raise CollapseError(
-                f"no x-overlap achievable between p={curves[i].p} and p={curves[i + 1].p}")
-        total_sq += sq
-        total_cnt += cnt
-        pair_stats[(curves[i].p, curves[i + 1].p)] = (sq, cnt)
+            raise CollapseError(f"no x-overlap achievable between p={c1.p} and p={c2.p}")
+        deltas.append(delta)
+        pair_stats[(c1.p, c2.p)] = (sq, cnt)
+    shifts = np.concatenate([[0.0], np.cumsum(deltas)])
+    total_sq = sum(sq for sq, _ in pair_stats.values())
+    total_cnt = sum(cnt for _, cnt in pair_stats.values())
     residual = math.sqrt(total_sq / total_cnt) if total_cnt else 0.0
     xs = np.concatenate([c.x + s for c, s in zip(curves, shifts)])
     ys = np.concatenate([c.y for c in curves])
@@ -531,13 +506,21 @@ def fit_xi_branch_gauged(xi: dict):
     scaling factors across the transition: curves on opposite sides sit
     on different asymptotic branches whose near-crossover shapes are
     mirror images, so the one linking shift is a soft mode of any
-    overlap objective.  The factors below the (fitted) p_c therefore
-    carry one unknown common multiplier.  This fit extends the model to
+    overlap objective.  The factors below p_c therefore carry one
+    unknown common multiplier.  This fit extends the model to
 
         xi(p) = gamma^{[p < p_c]} * (A |p - p_c|^nu + B)^(-1)
 
-    in log space, profiles gamma out, and returns (XiFit on the
-    gauge-corrected factors, gamma, corrected xi map).
+    in log space and profiles gamma out one split at a time: for split k
+    gamma multiplies exactly the k lowest-p factors and p_c is bounded to
+    [p_{k-1}, p_k], so the model stays smooth in p_c (a gamma switched on
+    by p < p_c would jump whenever p_c crossed a sampled p, and the fit
+    would stop on a sample).  Each split starts from 5 interior p_c
+    values times ln gamma in {0, 1, 2, 3}, with (A, B, nu) seeded by the
+    linear inner fit on the gamma-corrected factors; the 3 starts of
+    least initial cost are polished.  The split of least cost wins.
+    Returns (fit_xi on the gauge-corrected factors, gamma, corrected xi
+    map).
     """
     ps = np.array(sorted(xi))
     if ps.size < 5:
@@ -546,35 +529,42 @@ def fit_xi_branch_gauged(xi: dict):
     if np.any(vals <= 0):
         raise FitError("scaling factors must be positive")
     log_vals = np.log(vals)
-    lo_p, hi_p = ps[0], ps[-1]
-
-    def residuals(theta):
-        a, b, nu, pc, lng = theta
-        model = -np.log(a * np.abs(ps - pc) ** nu + b) + np.where(ps < pc, lng, 0.0)
-        return model - log_vals
 
     # candidate split points: between consecutive p values, keeping >= 2
     # curves on each side so gamma stays identifiable
-    best = None
+    best, best_k = None, None
     for k in range(2, ps.size - 1):
-        pc0 = 0.5 * (ps[k - 1] + ps[k])
-        inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, 1.0 / vals, pc0, nu)[2],
-                                bounds=(0.05, 5.0), method="bounded", options={"xatol": 1e-8})
-        a0, b0, _ = _xi_inner_fit(ps, 1.0 / vals, pc0, inner.x)
-        x0 = [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, 0.0]
-        bounds = ([1e-12, 0.0, 1e-3, lo_p, -5.0], [np.inf, np.inf, 10.0, hi_p, 5.0])
-        try:
-            res = least_squares(residuals, x0, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except Exception:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
+        below = np.arange(ps.size) < k
+
+        def residuals(theta, below=below):
+            a, b, nu, pc, lng = theta
+            return -np.log(a * np.abs(ps - pc) ** nu + b) + lng * below - log_vals
+
+        starts = []
+        for pc0 in np.linspace(ps[k - 1], ps[k], 7)[1:-1]:
+            for lng0 in (0.0, 1.0, 2.0, 3.0):
+                inv = np.exp(lng0 * below) / vals
+                inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
+                                        bounds=(0.05, 5.0), method="bounded",
+                                        options={"xatol": 1e-8})
+                a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
+                x0 = [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0]
+                starts.append((float(np.sum(residuals(x0) ** 2)), x0))
+        starts.sort(key=lambda start: start[0])
+        bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0], [np.inf, np.inf, 10.0, ps[k], 5.0])
+        for _, x0 in starts[:3]:
+            try:
+                res = least_squares(residuals, x0, bounds=bounds,
+                                    xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            except Exception:
+                continue
+            if best is None or res.cost < best.cost:
+                best, best_k = res, k
     if best is None:
         raise FitError("branch-gauged xi fit failed from every candidate split")
     gamma = float(np.exp(best.x[4]))
-    pc_hat = float(best.x[3])
-    corrected = {float(p): float(v / (gamma if p < pc_hat else 1.0))
-                 for p, v in zip(ps, vals)}
+    corrected = {float(p): float(v / (gamma if i < best_k else 1.0))
+                 for i, (p, v) in enumerate(zip(ps, vals))}
     return fit_xi(corrected), gamma, corrected
 
 
@@ -700,10 +690,14 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     """Growth fit, beta scan, collapse, anchoring, xi fit; one call end to end.
 
     growth_t_min controls only the exponent-fit window on the lowest-p
-    trajectory; t_min controls the scaling window fed to the collapse.
-    The xi fit profiles out the cross-transition normalization when both
-    sides of the fitted p_c hold at least two curves (see
-    fit_xi_branch_gauged), falling back to the plain fit otherwise.
+    trajectory; t_min controls the scaling window fed to the collapse,
+    which solves each adjacent pair of curves on its own (see collapse).
+    The xi fit profiles out the cross-transition normalization, trying
+    every split of the p grid with at least two curves on each side and
+    bounding p_c between the split's neighbors (see
+    fit_xi_branch_gauged), and falls back to the plain fit when every
+    split fails.  The plain fit of the corrected factors gives the
+    reported parameters and feeds the bootstrap.
     """
     trajs = sorted(trajs, key=lambda tr: tr.p)
     if len({tr.p for tr in trajs}) < 3:
@@ -730,4 +724,4 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
         fit_A=fit.A, fit_B=fit.B, nu=fit.nu, p_c=fit.p_c, std_err=fit.std_err,
         s=s_val, wegner_dimension_check=2.0 + s_val / fit.nu, alpha=growth.alpha,
         beta_residuals=scan.residuals, pooled=coll.pooled, bootstrap=boot,
-        branch_gauge=gauge)
+        branch_gauge=gauge, collapse=coll)

@@ -313,7 +313,13 @@ class TestScaleCommand:
                                "anchor_p", "bootstrap", "n_curves", "config_digest"}
         assert set(report["growth"]) == {"r2", "t_min", "n_points"}
         assert set(report["fit"]) == {"A", "B", "nu", "p_c", "s", "branch_gauge", "std_err"}
-        assert set(report["residuals"]) == {"collapse", "beta_scan"}
+        assert set(report["residuals"]) == {"collapse", "beta_scan", "pairs", "excluded_pair"}
+        pairs = report["residuals"]["pairs"]
+        assert [(row["p_lo"], row["p_hi"]) for row in pairs] == [
+            (0.01, 0.02), (0.02, 0.03), (0.03, 0.04), (0.04, 0.07), (0.07, 0.09), (0.09, 0.12)]
+        assert all(set(row) == {"p_lo", "p_hi", "rms", "n"} and row["n"] > 0 for row in pairs)
+        worst = max(pairs, key=lambda row: row["rms"])
+        assert report["residuals"]["excluded_pair"] == [worst["p_lo"], worst["p_hi"]]
         assert report["n_curves"] == 7
         assert len(report["config_digest"]) == 16
         int(report["config_digest"], 16)
@@ -572,3 +578,13 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         for name in ("trajectories.svg", "spectrum_heatmap.svg"):
             assert count_tags((tmp_path / name).read_text(), "svg") >= 1
+
+    def test_synthetic_validation_runs_to_completion(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "synthetic_validation.py"
+        proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path),
+                               "--n-bootstrap", "20"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = sqio.read_report_json(tmp_path / "report.json")
+        assert report["beta"] == 1.0
+        assert report["fit"]["p_c"] == pytest.approx(0.0266, rel=0.02)

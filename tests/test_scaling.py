@@ -29,6 +29,7 @@ from spinquench.scaling import (
     RescaledCurve,
     ScalingFunctionSample,
     ScalingResult,
+    _pair_mismatch,
     beta_scan,
     bootstrap_fit_xi,
     collapse,
@@ -269,6 +270,46 @@ class TestCollapse:
         assert two.trimmed_residual() == pytest.approx(math.sqrt(5.0 / 2.0))
 
 
+class TestSeparableCollapse:
+    """Each adjacent pair's cost depends only on its shift difference.
+
+    The collapse objective is therefore a sum of independent 1-D terms:
+    no pair can move another pair's shift difference, and each pair must
+    sit at the global minimum of its own cost.
+    """
+
+    @staticmethod
+    def pair_cost(c1, c2, delta):
+        # mismatch plus the overlap barrier (half the shorter span)
+        sq, _, ov = _pair_mismatch(c1, c2, 0.0, delta)
+        min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
+        if sq is None:
+            return 1e6 * (1.0 + (min_ov - ov) ** 2)
+        return sq + 1e6 * max(0.0, min_ov - ov) ** 2
+
+    def test_highest_curve_moves_no_other_shift(self, noiseless_family):
+        _, _, curves, result = noiseless_family
+        top = curves[-1]
+        bent = RescaledCurve(p=top.p, x=top.x, y=top.y + 0.3 * np.sin(3.0 * top.x),
+                             k1=top.k1, k2_prime=top.k2_prime)
+        for variant in (curves[:-1], curves[:-1] + [bent]):
+            shifts = collapse(variant).shifts
+            for c in curves[:-1]:
+                assert shifts[c.p] == pytest.approx(result.shifts[c.p], abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.58, 1.0, 6.6])
+    def test_each_pair_at_its_global_minimum(self, noiseless_family, beta):
+        trajs, growth, _, _ = noiseless_family
+        curves = rescale(trajs, growth, beta=beta, t_min=2.0)
+        result = collapse(curves)
+        span = max(c.x[-1] for c in curves) - min(c.x[0] for c in curves)
+        fine = np.linspace(-span, span, 4001)
+        for c1, c2 in zip(curves, curves[1:]):
+            got = self.pair_cost(c1, c2, result.shifts[c2.p] - result.shifts[c1.p])
+            floor = min(self.pair_cost(c1, c2, d) for d in fine)
+            assert got <= floor * (1.0 + 1e-9) + 1e-15
+
+
 class TestTwoBranchCollapse:
     """Shift structure of a family bracketing the transition.
 
@@ -441,6 +482,33 @@ class TestXiFit:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(FitError, match="positive"):
             fit_xi({p: v for p, v in zip(P_LIST, [1.0, 2.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])})
+
+
+class TestXiFitLockOn:
+    """The gauged xi fit must not stop p_c on a sampled p.
+
+    Planted family of scripts/synthetic_validation.py (synth seed 7,
+    noise 0.01) on the benchmark's 5-point grid, which leaves out 0.033,
+    the nearest sampled p above p_c, and on the script's 10-point grid.
+    """
+
+    @staticmethod
+    def analyse(p_list):
+        trajs = synth_trajectories(p_list, p_c=0.0266, nu=0.42, s=0.42, alpha=2.87,
+                                   A=0.58, B=0.05, t_grid=T_GRID, noise_level=0.01, seed=7)
+        return full_scaling_analysis(trajs, anchor_p=max(p_list), t_min=2.0,
+                                     growth_t_min=40.0, n_bootstrap=0)
+
+    def test_sparse_grid_p_c_between_samples(self):
+        grid = [0.009, 0.014, 0.02, 0.048, 0.075]
+        result = self.analyse(grid)
+        assert result.p_c == pytest.approx(0.0266, rel=0.10)
+        assert min(abs(result.p_c - p) for p in grid) > 1e-4
+
+    def test_script_grid_recovers_planted_values(self):
+        result = self.analyse([0.005, 0.009, 0.014, 0.02, 0.033, 0.048, 0.06, 0.075, 0.09, 0.108])
+        assert result.p_c == pytest.approx(0.0266, rel=0.01)
+        assert result.nu == pytest.approx(0.42, rel=0.03)
 
 
 class TestBootstrapXiFit:
