@@ -4,10 +4,11 @@ Two estimators produce the spectrum A(n) at each time:
 
   exact        dense density evolution followed by direct squared-magnitude
                bookkeeping per coherence order (up to 12 spins);
-  typicality   random-vector trace estimation of the phase response
-               S(phi) = Tr[rho(t) e^{i phi Iz} rho(t) e^{-i phi Iz}],
-               whose Fourier coefficients are exactly the A(n); error
-               shrinks with both the number of seeds and 2^n.
+  typicality   random-vector (Hutchinson) trace estimation of the
+               sector-resolved weights ||P_m rho(t) P_m'||_F^2, whose sums
+               over m - m' = n are the A(n); one vector slice per M_z
+               sector m' >= 0, non-negative by construction, with error
+               shrinking with both the number of samples and 2^n.
 
 The cluster size is K = sigma^2 with sigma the half width at which the
 even-order envelope, log-linearly interpolated on the discrete order
@@ -124,37 +125,13 @@ class ClusterTrajectory:
 
 
 @dataclass(frozen=True)
-class PhaseEncodingPlan:
-    """Phase grid and random-state seeds for the typicality estimator."""
-
-    n_phases: int
-    phases: tuple
-    seeds: tuple
-
-    def __post_init__(self):
-        if self.n_phases < 2 or self.n_phases & (self.n_phases - 1):
-            raise ValueError("n_phases must be a power of two >= 2")
-        want = tuple(2.0 * math.pi * k / self.n_phases for k in range(self.n_phases))
-        if len(self.phases) != self.n_phases or any(abs(a - b) > 1e-12 for a, b in zip(self.phases, want)):
-            raise ValueError("phases must be the uniform grid 2 pi k / n_phases")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be non-empty and distinct")
-
-
-def plan_phases(n_spins: int, n_samples: int = 8, base_seed: int = 0,
-                max_order: int | None = None) -> PhaseEncodingPlan:
-    """Smallest power-of-two phase grid resolving every order up to max_order."""
-    if max_order is None:
-        max_order = n_spins
-    n_phases = 1 << max(1, math.ceil(math.log2(2 * max_order + 2)))
-    phases = tuple(2.0 * math.pi * k / n_phases for k in range(n_phases))
-    seeds = tuple(base_seed + k for k in range(n_samples))
-    return PhaseEncodingPlan(n_phases, phases, seeds)
-
-
-@dataclass(frozen=True)
 class EstimatorConfig:
-    """How spectra and K are produced along a trajectory."""
+    """How spectra and K are produced along a trajectory.
+
+    For the typicality estimator n_samples counts vector sets: sample s
+    draws one Gaussian vector from seed base_seed + s and propagates one
+    slice of it per M_z sector m' >= 0.
+    """
 
     kind: str = "exact"
     n_samples: int = 8
@@ -177,71 +154,56 @@ def mqc_exact(rho_t: DensityMatrix, *, time: float = 0.0, p: float = 0.0) -> Mqc
 
 
 def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
-                        plan: PhaseEncodingPlan) -> list[MqcSpectrum]:
-    """Typicality spectra at every grid time.
+                        estimator: EstimatorConfig) -> list[MqcSpectrum]:
+    """Typicality spectra at every grid time, one Hutchinson stream per M_z sector.
 
-    Per seed r, the phase response at time t is estimated as
-    S(phi) = <u, w> with u = U (Iz U'r) and w = e^{i phi Iz} U (Iz U'(e^{-i phi Iz} r)),
-    U' the backward propagator.  The backward factors are advanced
-    incrementally along the grid (one stream per phase), the forward
-    factors span 0 -> t in one adaptive call.  Only half the phase grid is
-    evaluated; the rest follows from S(-phi) = conj(S(phi)), which holds
-    in expectation because the spectrum is real and symmetric.
+    A(k) is proportional to the sum over m - m' = k of ||P_m rho(t) P_m'||_F^2.
+    Per sample, one Gaussian vector r is cut into its sector slices r_m',
+    and each slice is carried to y = rho(t) r_m' = U (Iz U' r_m'), with U'
+    the backward propagator advanced incrementally along the grid and U
+    one adaptive call from 0 to t; |P_m y|^2 estimates the (m, m') term.
+    Global spin flip maps rho to -rho, so ||P_-m rho P_-m'|| = ||P_m rho P_m'||
+    and only the sectors m' >= 0 are propagated, each adding its weights
+    to order m - m' and, for m' != 0, to the mirrored order m' - m.
+    H(p) moves M_z by 0 or +-2, so every weight is non-negative and odd
+    orders are exactly zero.  Reads n_samples and base_seed of estimator;
+    each sample is normalized on its own.
     """
-    ws = workspace_for(network)
-    basis = ws.basis
+    basis = workspace_for(network).basis
     n = basis.n_spins
-    if plan.n_phases < 2 * n + 2:
-        raise ValueError(f"n_phases={plan.n_phases} aliases orders of a {n}-spin system")
     prop = Propagator(network, protocol)
     times = protocol.times
     n_t = times.size
-    half = plan.n_phases // 2
     mz = basis.mz_of
-    phase_vecs = [np.exp(1j * plan.phases[k] * mz) for k in range(half + 1)]
-    n_orders = 2 * n + 1
-    per_seed = np.empty((len(plan.seeds), n_t, n_orders))
-    for s_i, seed in enumerate(plan.seeds):
-        r = gaussian_state(basis, seed)
-        streams = [r.copy()]  # phi = 0 stream doubles as the Iz stream
-        streams += [StateVector(basis, phase_vecs[k].conj() * r.amplitudes) for k in range(1, half + 1)]
-        S = np.empty((plan.n_phases, n_t), dtype=np.complex128)
-        for j in range(n_t):
-            streams = [prop.step_backward(st, j) for st in streams]
-            u = prop.span_forward(StateVector(basis, mz * streams[0].amplitudes), j)
-            S[0, j] = np.vdot(u.amplitudes, u.amplitudes)
-            for k in range(1, half + 1):
-                y = prop.span_forward(StateVector(basis, mz * streams[k].amplitudes), j)
-                S[k, j] = np.vdot(u.amplitudes, phase_vecs[k] * y.amplitudes)
-        for k in range(1, half):
-            S[plan.n_phases - k, :] = S[k, :].conj()
-        coeff = np.fft.ifft(S, axis=0).real
-        spectra = np.concatenate([coeff[plan.n_phases - n:, :], coeff[: n + 1, :]], axis=0)
-        totals = spectra.sum(axis=0)
+    n_samples = estimator.n_samples
+    per_sample = np.zeros((n_samples, n_t, 2 * n + 1))
+    for s_i in range(n_samples):
+        seed = estimator.base_seed + s_i
+        r = gaussian_state(basis, seed).amplitudes
+        acc = per_sample[s_i]
+        for up in range((n + 1) // 2, n + 1):
+            stream = StateVector(basis, np.where(basis.n_up == up, r, 0.0))
+            for j in range(n_t):
+                stream = prop.step_backward(stream, j)
+                y = prop.span_forward(StateVector(basis, mz * stream.amplitudes), j).amplitudes
+                # w[k] = |P_k y|^2, k spins up; order k - up sits at index n + k - up
+                w = np.bincount(basis.n_up, y.real ** 2 + y.imag ** 2, minlength=n + 1)
+                acc[j, n - up: 2 * n - up + 1] += w
+                if 2 * up != n:
+                    acc[j, up: up + n + 1] += w[::-1]
+        totals = acc.sum(axis=1)
         if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
             raise NumericalError(f"typicality normalization failed for seed {seed}: totals {totals}")
-        per_seed[s_i] = (spectra / totals).T
-    mean = per_seed.mean(axis=0)
-    if len(plan.seeds) > 1:
-        std_err = per_seed.std(axis=0, ddof=1) / math.sqrt(len(plan.seeds))
+        acc /= totals[:, None]
+    mean = per_sample.mean(axis=0)
+    if n_samples > 1:
+        std_err = per_sample.std(axis=0, ddof=1) / math.sqrt(n_samples)
     else:
         std_err = np.zeros_like(mean)
     orders = np.arange(-n, n + 1)
-    out = []
-    for j in range(n_t):
-        w = mean[j]
-        se = std_err[j]
-        bad = w < -5.0 * np.where(se > 0, se, np.inf)
-        if np.any(bad):
-            worst = orders[bad][np.argmin(w[bad])]
-            warnings.warn(
-                f"negative coherence weight beyond 5 standard errors at order {worst} "
-                f"(t={times[j]:g}): aliasing or too few samples", EstimatorWarning)
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        out.append(MqcSpectrum(orders=orders, weights=w, time=float(times[j]), p=protocol.p,
-                               estimator="typicality", n_samples=len(plan.seeds), std_err=se))
-    return out
+    return [MqcSpectrum(orders=orders, weights=mean[j], time=float(times[j]), p=protocol.p,
+                        estimator="typicality", n_samples=n_samples, std_err=std_err[j])
+            for j in range(n_t)]
 
 
 def _gaussian_k(ks: np.ndarray, a: np.ndarray, n_spins: int) -> float:
@@ -329,8 +291,7 @@ def trajectory(network: CouplingNetwork, protocol: QuenchProtocol,
         spectra = [mqc_exact(rho, time=t, p=protocol.p)
                    for t, rho in evolve_density_exact(network, protocol, rho0)]
     else:
-        plan = plan_phases(basis.n_spins, n_samples=estimator.n_samples, base_seed=estimator.base_seed)
-        spectra = mqc_typicality_grid(network, protocol, plan)
+        spectra = mqc_typicality_grid(network, protocol, estimator)
     ks = np.array([cluster_size(s, method=estimator.k_method) for s in spectra])
     return ClusterTrajectory(p=protocol.p, times=protocol.times, K=ks,
                              spectra=spectra if estimator.keep_spectra else None, metadata=meta)

@@ -206,7 +206,7 @@ def cmd_scale(config: RunConfig, out_dir, beta_grid=None, anchor_p=None,
         growth_t_min=config.get("scale.growth_t_min"),
         n_bootstrap=config.get("scale.n_bootstrap", 100),
         bootstrap_seed=config.get("scale.bootstrap_seed", 0))
-    growth = fit_growth_exponent(combined[0], t_min=config.get("scale.growth_t_min"))
+    growth = result.growth
 
     report = {
         "alpha": result.alpha,

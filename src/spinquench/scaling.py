@@ -181,6 +181,7 @@ class ScalingResult:
     bootstrap: dict | None = None
     branch_gauge: float = 1.0
     collapse: CollapseResult | None = None
+    growth: GrowthFit | None = None
 
     def __post_init__(self):
         if any(v <= 0 for v in self.xi.values()):
@@ -724,4 +725,4 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
         fit_A=fit.A, fit_B=fit.B, nu=fit.nu, p_c=fit.p_c, std_err=fit.std_err,
         s=s_val, wegner_dimension_check=2.0 + s_val / fit.nu, alpha=growth.alpha,
         beta_residuals=scan.residuals, pooled=coll.pooled, bootstrap=boot,
-        branch_gauge=gauge, collapse=coll)
+        branch_gauge=gauge, collapse=coll, growth=growth)

@@ -23,7 +23,7 @@ from spinquench import io as sqio
 from spinquench.config import RunConfig
 from spinquench.evolution import Propagator, QuenchProtocol, evolve_density_exact
 from spinquench.mqc import (EstimatorConfig, ClusterTrajectory, mqc_exact,
-                            mqc_typicality_grid, plan_phases, trajectory)
+                            mqc_typicality_grid, trajectory)
 from spinquench.network import cubic_lattice_geometry, dipolar_couplings
 from spinquench.operators import (DensityMatrix, StateVector, apply_h0, apply_hdd,
                                   basis_for, basis_state, gaussian_state)
@@ -120,8 +120,7 @@ def test_02_oracle_equivalence(chain6, lattice8, lattice10):
                 proto = QuenchProtocol.average(p, times)
                 exact = [mqc_exact(rho, time=t, p=p)
                          for t, rho in evolve_density_exact(net, proto, rho0)]
-                plan = plan_phases(n, n_samples=16, base_seed=2)
-                typ = mqc_typicality_grid(net, proto, plan)
+                typ = mqc_typicality_grid(net, proto, EstimatorConfig(n_samples=16, base_seed=2))
                 for sp_t, sp_e in zip(typ, exact):
                     for o in range(-n, n + 1):
                         # 1e-12 floor: orders carrying only fp dust agree

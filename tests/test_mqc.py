@@ -12,10 +12,8 @@ from spinquench.mqc import (
     ClusterTrajectory,
     EstimatorConfig,
     MqcSpectrum,
-    PhaseEncodingPlan,
     cluster_size,
     mqc_typicality_grid,
-    plan_phases,
     trajectory,
 )
 from spinquench.network import SpinGeometry, dipolar_couplings
@@ -133,35 +131,11 @@ class TestClusterSize:
             cluster_size(s, method="fwhm")
 
 
-class TestPhasePlan:
-    @given(st.integers(1, 24))
-    def test_power_of_two_grid_resolves_all_orders(self, n):
-        plan = plan_phases(n)
-        assert plan.n_phases >= 2 * n + 2
-        assert plan.n_phases & (plan.n_phases - 1) == 0
-        # minimal: half the grid would alias
-        assert plan.n_phases // 2 < 2 * n + 2
-
-    def test_seeds_distinct_and_seeded(self):
-        plan = plan_phases(6, n_samples=5, base_seed=40)
-        assert plan.seeds == (40, 41, 42, 43, 44)
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            PhaseEncodingPlan(6, tuple(2 * math.pi * k / 6 for k in range(6)), (0,))
-        good = tuple(2 * math.pi * k / 8 for k in range(8))
-        with pytest.raises(ValueError, match="uniform grid"):
-            PhaseEncodingPlan(8, good[::-1], (0,))
-        with pytest.raises(ValueError, match="distinct"):
-            PhaseEncodingPlan(8, good, (1, 1))
-
-
 class TestTypicality:
     def test_time_zero_spectrum_is_pure_zero_order(self):
         net = jittered_network(5, 3)
         prot = QuenchProtocol.average(0.4, [0.0, 0.5])
-        plan = plan_phases(5, n_samples=3, base_seed=0)
-        spec = mqc_typicality_grid(net, prot, plan)[0]
+        spec = mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=3, base_seed=0))[0]
         assert spec.estimator == "typicality"
         assert spec.weight(0) > 1.0 - 1e-9
         assert np.all(np.delete(spec.weights, 5) < 1e-9)
@@ -169,11 +143,32 @@ class TestTypicality:
     def test_dipolar_only_evolution_keeps_delta_spectrum(self):
         net = jittered_network(6, 5)
         prot = QuenchProtocol.average(1.0, [0.8, 2.5])
-        plan = plan_phases(6, n_samples=4, base_seed=2)
-        for spec in mqc_typicality_grid(net, prot, plan):
+        for spec in mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=4, base_seed=2)):
             off = np.delete(spec.weights, 6)
             floor = np.maximum(3.0 * np.delete(spec.std_err, 6), 1e-9)
             assert np.all(off <= floor)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_weights_non_negative_and_odd_orders_exactly_zero(self, n):
+        # H(p) moves M_z by 0 or +-2, so no stream ever reaches an odd order
+        net = jittered_network(n, 17)
+        prot = QuenchProtocol.average(0.4, [0.3, 0.9, 2.0])
+        for spec in mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=3, base_seed=4)):
+            odd = spec.orders % 2 == 1
+            assert np.all(spec.weights >= 0.0)
+            assert np.all(spec.weights[odd] == 0.0)
+            assert np.all(spec.weights[~odd] > 0.0)
+
+    @pytest.mark.parametrize("mode", ["average", "floquet"])
+    def test_dipolar_only_evolution_is_exactly_order_zero(self, mode):
+        # H_dd conserves M_z: every sector stream stays in its own sector
+        net = jittered_network(6, 5)
+        prot = (QuenchProtocol.average(1.0, [0.8, 2.5]) if mode == "average"
+                else QuenchProtocol.floquet(1.0, 0.4, [2, 6]))
+        for spec in mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=2, base_seed=2)):
+            assert spec.weight(0) == 1.0
+            assert np.all(np.delete(spec.weights, 6) == 0.0)
+            assert np.all(spec.std_err == 0.0)
 
     def test_agrees_with_exact_path_at_eight_spins(self):
         from spinquench.evolution import evolve_density_exact
@@ -182,8 +177,7 @@ class TestTypicality:
         net = jittered_network(8, 11)
         grid = np.array([0.3, 0.9, 2.0])
         prot = QuenchProtocol.average(0.3, grid)
-        plan = plan_phases(8, n_samples=8, base_seed=1)
-        approx = mqc_typicality_grid(net, prot, plan)
+        approx = mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=8, base_seed=1))
         rho0 = DensityMatrix.from_iz(basis_for(net))
         exact = [mqc_exact(rho, time=t, p=0.3) for t, rho in evolve_density_exact(net, prot, rho0)]
         agree = total = 0
@@ -193,13 +187,6 @@ class TestTypicality:
             agree += int(np.sum(dev <= np.maximum(tol, 1e-9)))
             total += dev.size
         assert agree / total >= 0.95
-
-    def test_aliasing_grid_rejected(self):
-        net = jittered_network(8, 13)
-        prot = QuenchProtocol.average(0.0, [0.5])
-        small = plan_phases(4)  # 16 phases cannot resolve 8-spin orders
-        with pytest.raises(ValueError, match="aliases"):
-            mqc_typicality_grid(net, prot, small)
 
 
 class TestTrajectory:
