@@ -10,25 +10,31 @@ Two modes:
 State vectors are advanced by Propagator, a short-iterative-Lanczos
 exponential (full reorthogonalization, a-posteriori error estimate,
 adaptive step halving) whose matvec reads the per-network sparse H_0 and
-H_dd.  Densities up to 12 spins go through dense diagonalization of the
-two popcount-parity blocks of the same matrices, which H(p) never mixes;
-that block structure is what makes odd coherence orders vanish
-identically on the exact path.
+H_dd.
+
+The exact path, evolve_density_exact, starts from rho(0) = Iz and yields
+the coherence-order weights of rho(t) at each grid time, never rho(t)
+itself.  It works on the blocks that H(p) and the global spin flip F
+leave invariant: the two popcount-parity blocks, which H(p) never mixes
+(so odd orders vanish identically), and for even n their flip-even and
+flip-odd halves of dimension 2^(n-2).  For odd n, F swaps the parity
+blocks and only the even one is evolved.  Each block is diagonalized
+densely, which caps the path at 14 spins (four blocks of 4096).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError, ConvergenceError
 from .network import CouplingNetwork
-from .operators import DensityMatrix, StateVector, _apply_mixed_array, dense_hamiltonian, workspace_for
+from .operators import SpinBasis, StateVector, _apply_mixed_array, dense_hamiltonian, workspace_for
 
-MAX_DENSE_SPINS = 12
+MAX_DENSE_SPINS = 14
 DEFAULT_KRYLOV_DIM = 30
 DEFAULT_TOL = 1e-10
 
@@ -241,96 +247,125 @@ class Propagator:
         return StateVector(v.basis, amp)
 
 
-@dataclass
+
+
 class _Block:
-    idx: np.ndarray
-    evals: np.ndarray
-    evecs: np.ndarray
+    """One block of the exact path, with its coherence-order bookkeeping.
 
-
-def _real_sandwich(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ X @ right for real side matrices and complex X, two real products each.
-
-    The .real/.imag views are strided, which BLAS handles two orders of
-    magnitude slower than contiguous input, hence the explicit copies.
+    Even n: one popcount-parity block, one representative s per flip pair
+    {s, F s} (the one with the top spin down).  H(p) restricted to
+    |+-_s> = (|s> +- |F s>)/sqrt(2) is H+- = H[R, R] +- H[R, F R].
+    Odd n: the even-parity block itself, with the one Hamiltonian H[R, R].
+    States are sorted by n_up, so each M_z sector is one run of rows.
     """
-    xr = np.ascontiguousarray(X.real)
-    xi = np.ascontiguousarray(X.imag)
-    return (left @ xr @ right) + 1j * (left @ xi @ right)
+
+    def __init__(self, basis: SpinBasis, states: np.ndarray, flip: bool):
+        up = basis.n_up[states].astype(np.intp)
+        order = np.argsort(up, kind="stable")
+        self.states = states[order]
+        self.flip = flip
+        self.mz = basis.mz_of[self.states]
+        up = up[order]
+        self.cuts = np.flatnonzero(np.r_[True, up[1:] != up[:-1]])
+        u = up[self.cuts]
+        n = basis.n_spins
+        self.n_weights = 2 * n + 1
+        # weight index n + order: rho[s, s'] has order u - u', rho[s, F s'] u + u' - n
+        self.same = (n + u[:, None] - u).ravel()
+        self.cross = (u[:, None] + u).ravel()
+
+    def hamiltonians(self, network: CouplingNetwork, p: float) -> list[np.ndarray]:
+        if not self.flip:
+            return [dense_hamiltonian(network, p, self.states)]
+        d = self.states.size
+        flipped = self.states ^ ((1 << network.n_spins) - 1)
+        h = dense_hamiltonian(network, p, np.concatenate([self.states, flipped]))
+        return [h[:d, :d] + h[:d, d:], h[:d, :d] - h[:d, d:]]
+
+    def _sector_sums(self, sq: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(np.add.reduceat(sq, self.cuts, axis=0), self.cuts, axis=1).ravel()
+
+    def weights(self, xr: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Order weights sum |rho_rc|^2 of this block and its flip image.
+
+        Odd n: X = xr + i xi is the even-parity block of rho; the odd one
+        is -F rho F, so its weights are these reversed.  Even n: X is
+        <+|rho|->, the only nonzero block in the +- basis, and
+        rho[s, s'] = (X + X^dag)/2, rho[s, F s'] = (X^dag - X)/2,
+        rho[F s, F s'] = -rho[s, s'], rho[F s, s'] = -rho[s, F s'].
+        """
+        k = self.n_weights
+        if not self.flip:
+            w = np.bincount(self.same, self._sector_sums(xr * xr + xi * xi), k)
+        else:
+            same = self._sector_sums((xr + xr.T) ** 2 + (xi - xi.T) ** 2)
+            cross = self._sector_sums((xr - xr.T) ** 2 + (xi + xi.T) ** 2)
+            w = 0.25 * (np.bincount(self.same, same, k) + np.bincount(self.cross, cross, k))
+        return w + w[::-1]
 
 
-def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol, rho0: DensityMatrix,
-                         max_dense_spins: int = MAX_DENSE_SPINS):
-    """Yield (time, DensityMatrix) at every grid point by dense spectral evolution.
+def _exact_blocks(basis: SpinBasis) -> list[_Block]:
+    n = basis.n_spins
+    if n % 2:
+        return [_Block(basis, basis.states[basis.parity == 0], False)]
+    low = basis.states < (1 << (n - 1))
+    return [_Block(basis, basis.states[(basis.parity == par) & low], True) for par in (0, 1)]
 
-    H(p) is block-diagonal in the two popcount-parity sectors, so each
-    sector is diagonalized separately; the cross blocks of rho pick up
-    only mixed phase factors.  Floquet mode composes the dense one-cycle
-    unitary instead.
+
+def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol):
+    """Yield (time, w) at every grid point, w[n + order] = sum |rho_rc|^2 of rho(t).
+
+    rho(0) = Iz.  H(p) keeps the two popcount-parity blocks apart and
+    commutes with the global flip F, which maps Iz to -Iz.  For odd n, F
+    swaps the parity blocks, so only the even one is evolved.  For even n,
+    F splits each parity block into +- halves of dimension 2^(n-2) with
+    Iz |+_s> = m_s |-_s>, so rho(t) = [[0, X], [X^dag, 0]] with
+    X = U+ Iz U-^dag.  Average mode diagonalizes each half once,
+    H+- = V+- E+- V+-^T, and forms X = V+ (Phi+ o W o Phi-^*) V-^T with
+    W = V+^T diag(m) V- and Phi = exp(-i E t).  Floquet mode steps
+    X <- u+ X u-^dag with the one-cycle unitaries u of each half.
+    No 2^n x 2^n array is formed.
     """
     n = network.n_spins
-    if n > max_dense_spins:
-        raise CapacityError(f"dense density evolution is capped at {max_dense_spins} spins, got {n}")
-    ws = workspace_for(network)
-    basis = ws.basis
-    if rho0.basis.n_spins != n:
-        raise ValueError("rho0 basis does not match the network")
-    even, odd = basis.parity_indices()
-    sectors = [s for s in (even, odd) if s.size]
+    if n > MAX_DENSE_SPINS:
+        raise CapacityError(f"exact density evolution is capped at {MAX_DENSE_SPINS} spins, got {n}; "
+                            "use the typicality estimator")
+    blocks = _exact_blocks(workspace_for(network).basis)
     pr = protocol
 
     if pr.mode == "average":
-        blocks = []
-        for idx in sectors:
-            evals, evecs = np.linalg.eigh(dense_hamiltonian(network, pr.p, idx))
-            blocks.append(_Block(idx, evals, evecs))
-        # rho in each Hamiltonian eigenbasis, cross blocks included
-        w_diag = []
+        # per block: (E, V) of the left and right half (the same one for odd n), W
+        setups = []
         for blk in blocks:
-            sub = rho0.entries[np.ix_(blk.idx, blk.idx)]
-            w_diag.append(blk.evecs.T @ sub @ blk.evecs)
-        w_cross = None
-        if len(blocks) == 2:
-            sub = rho0.entries[np.ix_(blocks[0].idx, blocks[1].idx)]
-            if np.any(sub):
-                w_cross = blocks[0].evecs.T @ sub @ blocks[1].evecs
-        dim = basis.dimension
+            eigs = [np.linalg.eigh(h) for h in blk.hamiltonians(network, pr.p)]
+            (_, vl), (_, vr) = eigs[0], eigs[-1]
+            setups.append((blk, eigs[0], eigs[-1], vl.T @ (blk.mz[:, None] * vr)))
         for t in pr.time_grid:
-            out = np.zeros((dim, dim), dtype=np.complex128)
-            phases = [np.exp(-1j * blk.evals * t) for blk in blocks]
-            for blk, ph, w in zip(blocks, phases, w_diag):
-                x = (ph[:, None] * w) * ph.conj()[None, :]
-                out[np.ix_(blk.idx, blk.idx)] = _real_sandwich(blk.evecs, x, blk.evecs.T)
-            if w_cross is not None:
-                x = (phases[0][:, None] * w_cross) * phases[1].conj()[None, :]
-                cross = _real_sandwich(blocks[0].evecs, x, blocks[1].evecs.T)
-                out[np.ix_(blocks[0].idx, blocks[1].idx)] = cross
-                out[np.ix_(blocks[1].idx, blocks[0].idx)] = cross.conj().T
-            yield float(t), DensityMatrix(basis, out)
+            w = np.zeros(2 * n + 1)
+            for blk, (el, vl), (er, vr), wb in setups:
+                ph = np.outer(np.exp(-1j * el * t), np.exp(1j * er * t))
+                w += blk.weights(vl @ (wb * ph.real) @ vr.T, vl @ (wb * ph.imag) @ vr.T)
+            yield float(t), w
     else:
-        tau_c = pr.tau_0 + pr.tau_dd
-        unitaries = []
-        for idx in sectors:
-            e0, v0 = np.linalg.eigh(dense_hamiltonian(network, 0.0, idx))
-            e1, v1 = np.linalg.eigh(dense_hamiltonian(network, 1.0, idx))
-            u0 = (v0 * np.exp(-1j * e0 * pr.tau_0)) @ v0.T
-            u1 = (v1 * np.exp(-1j * e1 * pr.tau_dd)) @ v1.T
-            unitaries.append(u1 @ u0)
-        rho_blocks = [rho0.entries[np.ix_(i, i)].copy() for i in sectors]
-        cross = rho0.entries[np.ix_(sectors[0], sectors[1])].copy() if len(sectors) == 2 else None
+        def unitaries(blk, p, tau):
+            out = []
+            for h in blk.hamiltonians(network, p):
+                e, v = np.linalg.eigh(h)
+                out.append((v * np.exp(-1j * e * tau)) @ v.T)
+            return out
+
+        cycles = []
+        for blk in blocks:
+            us = [u1 @ u0 for u0, u1 in zip(unitaries(blk, 0.0, pr.tau_0),
+                                            unitaries(blk, 1.0, pr.tau_dd))]
+            cycles.append((blk, us[0], us[-1].conj().T))
+        xs = [np.diag(blk.mz).astype(np.complex128) for blk in blocks]
         done = 0
-        dim = basis.dimension
         for count in pr.time_grid:
-            steps = int(round(count)) - done
-            for _ in range(steps):
-                rho_blocks = [u @ r @ u.conj().T for u, r in zip(unitaries, rho_blocks)]
-                if cross is not None:
-                    cross = unitaries[0] @ cross @ unitaries[1].conj().T
+            for _ in range(int(round(count)) - done):
+                xs = [ul @ x @ ur_dag for (_, ul, ur_dag), x in zip(cycles, xs)]
             done = int(round(count))
-            out = np.zeros((dim, dim), dtype=np.complex128)
-            for idx, r in zip(sectors, rho_blocks):
-                out[np.ix_(idx, idx)] = r
-            if cross is not None:
-                out[np.ix_(sectors[0], sectors[1])] = cross
-                out[np.ix_(sectors[1], sectors[0])] = cross.conj().T
-            yield float(count) * tau_c, DensityMatrix(basis, out)
+            w = np.zeros(2 * n + 1)
+            for (blk, _, _), x in zip(cycles, xs):
+                w += blk.weights(x.real, x.imag)
+            yield float(count) * (pr.tau_0 + pr.tau_dd), w

@@ -2,8 +2,9 @@
 
 Two estimators produce the spectrum A(n) at each time:
 
-  exact        dense density evolution followed by direct squared-magnitude
-               bookkeeping per coherence order (up to 12 spins);
+  exact        the order weights sum |rho_rc|^2 of rho(t), summed per M_z
+               sector pair on the parity and spin-flip blocks that
+               evolve_density_exact yields them from (up to 14 spins);
   typicality   random-vector (Hutchinson) trace estimation of the
                sector-resolved weights ||P_m rho(t) P_m'||_F^2, whose sums
                over m - m' = n are the A(n); one vector slice per M_z
@@ -28,11 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, EstimatorWarning, NumericalError
-from .evolution import MAX_DENSE_SPINS, Propagator, QuenchProtocol, evolve_density_exact
+from .errors import EstimatorWarning, NumericalError, UndefinedSpectrumError
+from .evolution import Propagator, QuenchProtocol, evolve_density_exact
 from .network import CouplingNetwork
-from .operators import (DensityMatrix, StateVector, coherence_order_decompose, gaussian_state,
-                        workspace_for)
+from .operators import StateVector, gaussian_state, workspace_for
 
 #: weights below this are fp dust on the exact path and do not count
 #: toward the envelope (keeps K(t=0) pinned at 1)
@@ -148,9 +148,19 @@ class EstimatorConfig:
             raise ValueError("n_samples must be >= 1")
 
 
-def mqc_exact(rho_t: DensityMatrix, *, time: float = 0.0, p: float = 0.0) -> MqcSpectrum:
-    """Spectrum of an explicitly evolved density matrix."""
-    return coherence_order_decompose(rho_t, time=time, p=p)
+def mqc_exact(weights: np.ndarray, *, time: float = 0.0, p: float = 0.0) -> MqcSpectrum:
+    """Spectrum from unnormalized order weights w[n + order] = sum |rho_rc|^2.
+
+    The squared-magnitude total is Tr[rho rho^dag], which unitary
+    evolution conserves, so the normalization is defined at every time.
+    """
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise UndefinedSpectrumError("zero (or non-finite) density matrix has no coherence distribution")
+    n = (weights.size - 1) // 2
+    return MqcSpectrum(orders=np.arange(-n, n + 1), weights=weights / total, time=time, p=p,
+                       estimator="exact")
 
 
 def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
@@ -283,13 +293,7 @@ def trajectory(network: CouplingNetwork, protocol: QuenchProtocol,
         "p": protocol.p,
     }
     if estimator.kind == "exact":
-        if basis.n_spins > MAX_DENSE_SPINS:
-            raise CapacityError(
-                f"exact estimator is capped at {MAX_DENSE_SPINS} spins, got {basis.n_spins}; "
-                "use the typicality estimator")
-        rho0 = DensityMatrix.from_iz(basis)
-        spectra = [mqc_exact(rho, time=t, p=protocol.p)
-                   for t, rho in evolve_density_exact(network, protocol, rho0)]
+        spectra = [mqc_exact(w, time=t, p=protocol.p) for t, w in evolve_density_exact(network, protocol)]
     else:
         spectra = mqc_typicality_grid(network, protocol, estimator)
     ks = np.array([cluster_size(s, method=estimator.k_method) for s in spectra])

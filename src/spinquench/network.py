@@ -12,7 +12,6 @@ the evolution module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,14 +239,3 @@ def generate_geometry(kind: str, params: dict, seed: int = 0) -> SpinGeometry:
     if kind == "file":
         return load_geometry_file(**params)
     raise GeometryError(f"unknown geometry kind {kind!r}")
-
-
-def rotated_about_axis(geometry: SpinGeometry, angle: float) -> SpinGeometry:
-    """Rigidly rotate all positions about the field axis (couplings are
-    invariant under this, which the test suite exploits)."""
-    k = geometry.field_axis
-    c, s = math.cos(angle), math.sin(angle)
-    pos = geometry.positions
-    # Rodrigues rotation about unit vector k
-    rotated = pos * c + np.cross(k, pos) * s + np.outer(pos @ k, k) * (1.0 - c)
-    return SpinGeometry(rotated, k.copy(), geometry.label, geometry.seed)

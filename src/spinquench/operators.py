@@ -15,8 +15,8 @@ matrices:
 
 The mixed generator of the quench protocol is H(p) = (1-p) H_0 + p H_dd.
 In this basis every H(p) is real symmetric, and it never mixes the two
-popcount-parity sectors, which the dense evolution path exploits: its
-sector blocks are row/column slices of the same two matrices.
+popcount-parity sectors, which the exact evolution path exploits: its
+blocks are row/column slices of the same two matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
-from .errors import CapacityError, UndefinedSpectrumError
+from .errors import CapacityError
 from .network import CouplingNetwork
 
 MAX_SPINS = 24
@@ -111,12 +111,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def basis_state(basis: SpinBasis, index: int) -> StateVector:
-    amp = np.zeros(basis.dimension, dtype=np.complex128)
-    amp[index] = 1.0
-    return StateVector(basis, amp)
-
-
 def gaussian_state(basis: SpinBasis, seed) -> StateVector:
     """Unnormalized complex Gaussian vector with E[v v†] = identity.
 
@@ -141,10 +135,10 @@ def _assert_hermitian(m: np.ndarray, tol: float):
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Dense density operator over a SpinBasis.
+    """Dense density operator over a SpinBasis, Hermitian by construction.
 
-    Hermiticity is enforced at construction; trace is whatever the
-    constructor produced (0 for the Iz-derived initial state).
+    The exact path never forms one; its weights come from the blocks that
+    evolve_density_exact works on.
     """
 
     basis: SpinBasis
@@ -157,19 +151,6 @@ class DensityMatrix:
             raise ValueError(f"entries must have shape ({dim}, {dim}), got {m.shape}")
         _assert_hermitian(m, 1e-12)
         self.entries = m
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    @property
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.entries) ** 2))
-
-    @classmethod
-    def from_iz(cls, basis: SpinBasis) -> "DensityMatrix":
-        """Initial state proportional to Iz: diagonal M_z, traceless."""
-        return cls(basis, np.diag(basis.mz_of.astype(np.complex128)))
 
 
 class _Workspace:
@@ -307,22 +288,3 @@ def coherence_order_weights(rho: np.ndarray, basis: SpinBasis) -> np.ndarray:
             block = rho[np.ix_(ri, ci)]
             weights[n + (r_up - c_up)] += float(np.sum(block.real**2 + block.imag**2))
     return weights
-
-
-def coherence_order_decompose(rho: DensityMatrix, *, time: float = 0.0, p: float = 0.0):
-    """Normalized coherence-order distribution A(n) of a density matrix.
-
-    A(n) sums |rho_rc|^2 over elements whose row and column M_z differ by
-    n, normalized to unit total.  The squared-magnitude convention makes
-    the total proportional to Tr[rho^2], which unitary evolution
-    conserves, so the distribution is well-defined at every time.
-    """
-    from .mqc import MqcSpectrum
-
-    basis = rho.basis
-    weights = coherence_order_weights(rho.entries, basis)
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise UndefinedSpectrumError("zero (or non-finite) density matrix has no coherence distribution")
-    orders = np.arange(-basis.n_spins, basis.n_spins + 1)
-    return MqcSpectrum(orders=orders, weights=weights / total, time=time, p=p, estimator="exact")

@@ -62,19 +62,27 @@ def _capacity_check(config: RunConfig, network):
             raise CapacityError(
                 f"exact estimator capped at {cap} spins, geometry has {n_spins}; "
                 "use estimator.kind = typicality or a smaller geometry")
-        return
-    # lower bound: H_0 and H_dd store one 12-byte entry (float64 value,
-    # int32 column) per state for the diagonal and for every coupled pair,
-    # and the Lanczos basis holds krylov_dim + 1 complex vectors
-    dim = 1 << n_spins
-    n_pairs = sum(1 for _ in network.pairs())
-    krylov_dim = config.get("numerics.krylov_dim", DEFAULT_KRYLOV_DIM)
-    need = 12 * dim * (n_pairs + 1) + 16 * dim * (krylov_dim + 1)
+        # the block path holds real d x d arrays, d = 2^(n-2) for even n and
+        # 2^(n-1) for odd n: the eigenvectors of its 4 (odd n: 1) blocks,
+        # 2 (1) W, the dense parity block and H+- while one is diagonalized
+        # 6 (1), X and its temporaries 8
+        d = 1 << (n_spins - 2 + n_spins % 2)
+        need = 8 * d * d * (11 if n_spins % 2 else 20)
+        what = "the exact estimator"
+    else:
+        # lower bound: H_0 and H_dd store one 12-byte entry (float64 value,
+        # int32 column) per state for the diagonal and for every coupled pair,
+        # and the Lanczos basis holds krylov_dim + 1 complex vectors
+        dim = 1 << n_spins
+        n_pairs = sum(1 for _ in network.pairs())
+        krylov_dim = config.get("numerics.krylov_dim", DEFAULT_KRYLOV_DIM)
+        need = 12 * dim * (n_pairs + 1) + 16 * dim * (krylov_dim + 1)
+        what = f"typicality with {n_pairs} coupled pairs"
     have = _physical_memory()
     if need > have:
         raise CapacityError(
-            f"typicality on {n_spins} spins with {n_pairs} coupled pairs needs at least "
-            f"{need / 2**30:.2f} GiB, more than the {have / 2**30:.2f} GiB of physical memory")
+            f"{what} on {n_spins} spins needs at least {need / 2**30:.2f} GiB, "
+            f"more than the {have / 2**30:.2f} GiB of physical memory")
 
 
 def _run_one(config: RunConfig, network, p: float, seed: int) -> ClusterTrajectory:

@@ -59,6 +59,21 @@ def iz_total_dense(n: int) -> np.ndarray:
     return sum(op_on(IZ, i, n) for i in range(n))
 
 
+def basis_vector(n: int, index: int) -> np.ndarray:
+    """The product state with bit pattern index, as a complex 2^n vector."""
+    v = np.zeros(1 << n, dtype=complex)
+    v[index] = 1.0
+    return v
+
+
+def rotate_about_axis(positions: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
+    """Positions rotated rigidly by angle about the unit vector axis,
+    through the matrix exponential of the axis' cross-product generator."""
+    k = np.asarray(axis, dtype=float)
+    gen = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return positions @ expm(angle * gen).T
+
+
 def evolve_state_dense(h: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return expm(-1j * t * h) @ v
 

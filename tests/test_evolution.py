@@ -14,16 +14,15 @@ from spinquench.evolution import (
 from spinquench.mqc import mqc_exact
 from spinquench.network import SpinGeometry, dipolar_couplings
 from spinquench.operators import (
-    DensityMatrix,
     StateVector,
     _apply_mixed_array,
     basis_for,
-    basis_state,
     gaussian_state,
     workspace_for,
 )
 
-from oracles import evolve_state_dense, h_mixed_dense
+from oracles import (basis_vector, evolve_rho_dense, evolve_state_dense, floquet_cycle_dense,
+                     h_mixed_dense, iz_total_dense, mqc_weights_dense)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -109,7 +108,7 @@ class TestPropagateAverage:
         net = dipolar_couplings(geo)
         d = net.couplings[0, 1]
         b = basis_for(net)
-        out = evolve(net, 0.0, dt, basis_state(b, 0b00), tol=1e-12)
+        out = evolve(net, 0.0, dt, StateVector(b, basis_vector(2, 0b00)), tol=1e-12)
         assert_allclose(out.amplitudes[0b11], 1j * np.sin(d * dt / 2), atol=1e-11)
         assert_allclose(out.amplitudes[0b00], np.cos(d * dt / 2), atol=1e-11)
 
@@ -211,51 +210,71 @@ class TestKrylovStep:
         assert abs(np.vdot(v.amplitudes, back.amplitudes)) >= 1.0 - 1e-9
 
 
+def iz_weights(n):
+    """Order weights of rho(0) = Iz: all of Tr[Iz^2] = n 2^n / 4 at order 0."""
+    w = np.zeros(2 * n + 1)
+    w[n] = n * 2**n / 4
+    return w
+
+
 class TestDensityEvolution:
     def test_p_one_leaves_initial_state_static(self):
         net = chain_network(4)
-        b = basis_for(net)
-        rho0 = DensityMatrix.from_iz(b)
         prot = QuenchProtocol.average(1.0, [0.5, 2.0, 8.0])
-        for _, rho in evolve_density_exact(net, prot, rho0):
-            assert_allclose(rho.entries, rho0.entries, atol=1e-12)
+        for _, w in evolve_density_exact(net, prot):
+            assert_allclose(w, iz_weights(4), atol=1e-12)
 
     def test_time_zero_returns_initial_state(self):
         net = chain_network(4)
-        b = basis_for(net)
-        rho0 = DensityMatrix.from_iz(b)
         prot = QuenchProtocol.average(0.0, [0.0, 1.0])
-        t, rho = next(iter(evolve_density_exact(net, prot, rho0)))
+        t, w = next(iter(evolve_density_exact(net, prot)))
         assert t == 0.0
-        assert_allclose(rho.entries, rho0.entries, atol=1e-12)
+        assert_allclose(w, iz_weights(4), atol=1e-12)
 
     def test_purity_trace_hermiticity_preserved(self):
         net = jittered_network(6, 47)
-        b = basis_for(net)
-        rho0 = DensityMatrix.from_iz(b)
+        purity0 = iz_weights(6).sum()
         prot = QuenchProtocol.average(0.3, np.geomspace(0.2, 10.0, 12))
-        for _, rho in evolve_density_exact(net, prot, rho0):
-            assert abs(rho.purity - rho0.purity) < 1e-10 * rho0.purity
-            assert abs(rho.trace) < 1e-10
-            # DensityMatrix construction enforces hermiticity at 1e-12
+        for _, w in evolve_density_exact(net, prot):
+            assert abs(w.sum() - purity0) < 1e-10 * purity0
+            # rho = rho^dag puts the same weight on orders n and -n
+            assert np.abs(w - w[::-1]).max() < 1e-10 * w.sum()
 
     def test_capacity_cap_enforced_before_work(self):
-        pos = np.zeros((13, 3))
-        pos[:, 0] = np.arange(13)
+        pos = np.zeros((15, 3))
+        pos[:, 0] = np.arange(15)
         net = dipolar_couplings(SpinGeometry(pos, Z))
-        rho0 = DensityMatrix.from_iz(basis_for(net))
         prot = QuenchProtocol.average(0.0, [1.0])
         with pytest.raises(CapacityError):
-            next(iter(evolve_density_exact(net, prot, rho0)))
+            next(iter(evolve_density_exact(net, prot)))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("mode", ["average", "floquet"])
+    def test_block_path_matches_dense_oracle(self, n, p, mode):
+        """Flip x parity blocks (even n) and the odd-block mirror (odd n)
+        against rho(t) = U Iz U^dag from full 2^n x 2^n Kronecker operators."""
+        net = jittered_network(n, 60 + n)
+        iz = iz_total_dense(n)
+        if mode == "average":
+            prot = QuenchProtocol.average(p, [0.4, 1.7])
+            h = h_mixed_dense(net, p)
+            refs = [evolve_rho_dense(h, iz, t) for t in prot.time_grid]
+        else:
+            prot = QuenchProtocol.floquet(p, 0.6, [1, 3])
+            u = floquet_cycle_dense(net, prot.tau_0, prot.tau_dd)
+            refs = [np.linalg.matrix_power(u, int(c)) for c in prot.time_grid]
+            refs = [uc @ iz @ uc.conj().T for uc in refs]
+        for (_, w), rho in zip(evolve_density_exact(net, prot), refs):
+            # unnormalized: w must also carry the oracle's total Tr[rho^2]
+            assert_allclose(w / np.sum(np.abs(rho) ** 2), mqc_weights_dense(rho, n), atol=1e-12)
 
     def test_chain6_quench_spreads_to_fourth_order(self):
         """Regression fixture: 6-spin chain, pure quench, orders reach
         |n| = 4 within two inverse couplings."""
         net = chain_network(6)
-        b = basis_for(net)
-        rho0 = DensityMatrix.from_iz(b)
         prot = QuenchProtocol.average(0.0, [0.5, 2.0])
-        specs = [mqc_exact(rho, time=t, p=0.0) for t, rho in evolve_density_exact(net, prot, rho0)]
+        specs = [mqc_exact(w, time=t, p=0.0) for t, w in evolve_density_exact(net, prot)]
         assert specs[1].weight(4) > 1e-4
         assert_allclose(specs[0].weight(0), 0.662329799514, atol=1e-9)
         assert_allclose(specs[1].weight(0), 0.601057326392, atol=1e-9)

@@ -17,7 +17,6 @@ from spinquench.mqc import (
     trajectory,
 )
 from spinquench.network import SpinGeometry, dipolar_couplings
-from spinquench.operators import DensityMatrix, basis_for, coherence_order_decompose
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -178,8 +177,7 @@ class TestTypicality:
         grid = np.array([0.3, 0.9, 2.0])
         prot = QuenchProtocol.average(0.3, grid)
         approx = mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=8, base_seed=1))
-        rho0 = DensityMatrix.from_iz(basis_for(net))
-        exact = [mqc_exact(rho, time=t, p=0.3) for t, rho in evolve_density_exact(net, prot, rho0)]
+        exact = [mqc_exact(w, time=t, p=0.3) for t, w in evolve_density_exact(net, prot)]
         agree = total = 0
         for sa, se in zip(approx, exact):
             dev = np.abs(sa.weights - se.weights)
@@ -211,8 +209,8 @@ class TestTrajectory:
         assert tr.metadata["protocol_digest"] == prot.digest()
         assert len(tr.spectra) == 2
 
-    def test_exact_estimator_capped_at_twelve_spins(self):
-        net = jittered_network(13, 19)
+    def test_exact_estimator_capped_at_fourteen_spins(self):
+        net = jittered_network(15, 19)
         with pytest.raises(CapacityError, match="typicality"):
             trajectory(net, QuenchProtocol.average(0.0, [0.5]), EstimatorConfig(kind="exact"))
 

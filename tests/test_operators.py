@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from spinquench.errors import CapacityError, UndefinedSpectrumError
+from spinquench.mqc import mqc_exact
 from spinquench.network import SpinGeometry, dipolar_couplings
 from spinquench.operators import (
     DensityMatrix,
@@ -13,15 +14,15 @@ from spinquench.operators import (
     apply_hdd,
     apply_mixed,
     basis_for,
-    basis_state,
     build_basis,
-    coherence_order_decompose,
+    coherence_order_weights,
     dense_hamiltonian,
     gaussian_state,
     workspace_for,
 )
 
 from oracles import (
+    basis_vector,
     evolve_rho_dense,
     h0_dense,
     h_dd_dense,
@@ -107,21 +108,13 @@ class TestStateAndDensity:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(b, m)
 
-    def test_from_iz_is_traceless_diagonal_mz(self):
-        b = build_basis(3)
-        rho = DensityMatrix.from_iz(b)
-        assert rho.trace == 0
-        assert_allclose(np.diag(rho.entries).real, b.mz_of)
-        assert_allclose(rho.entries, np.diag(np.diag(rho.entries)))
-        assert_allclose(rho.entries, iz_total_dense(3), atol=1e-15)
-
 
 class TestPairActions:
     def test_hdd_on_antialigned_pair(self):
         net = two_spin_network(d=-2.0)
         d = net.couplings[0, 1]
         b = basis_for(net)
-        out = apply_hdd(net, basis_state(b, 0b01)).amplitudes
+        out = apply_hdd(net, StateVector(b, basis_vector(2, 0b01))).amplitudes
         expected = np.zeros(4, dtype=complex)
         expected[0b01] = -d / 2
         expected[0b10] = -d / 2
@@ -131,7 +124,7 @@ class TestPairActions:
         net = two_spin_network(d=-2.0)
         d = net.couplings[0, 1]
         b = basis_for(net)
-        out = apply_hdd(net, basis_state(b, 0b11)).amplitudes
+        out = apply_hdd(net, StateVector(b, basis_vector(2, 0b11))).amplitudes
         expected = np.zeros(4, dtype=complex)
         expected[0b11] = d / 2
         assert_allclose(out, expected, atol=1e-15)
@@ -140,7 +133,7 @@ class TestPairActions:
         net = two_spin_network(d=-2.0)
         d = net.couplings[0, 1]
         b = basis_for(net)
-        out = apply_h0(net, basis_state(b, 0b00)).amplitudes
+        out = apply_h0(net, StateVector(b, basis_vector(2, 0b00))).amplitudes
         expected = np.zeros(4, dtype=complex)
         expected[0b11] = -d / 2
         assert_allclose(out, expected, atol=1e-15)
@@ -148,7 +141,7 @@ class TestPairActions:
     def test_h0_annihilates_antialigned_pair(self):
         net = two_spin_network(d=-2.0)
         b = basis_for(net)
-        out = apply_h0(net, basis_state(b, 0b01)).amplitudes
+        out = apply_h0(net, StateVector(b, basis_vector(2, 0b01))).amplitudes
         assert np.all(out == 0)
 
     @given(st.integers(0, 50))
@@ -271,14 +264,14 @@ class TestDenseOracleEquivalence:
 class TestCoherenceDecomposition:
     def test_iz_is_pure_zero_order(self):
         b = build_basis(4)
-        spec = coherence_order_decompose(DensityMatrix.from_iz(b))
+        spec = mqc_exact(coherence_order_weights(iz_total_dense(4), b))
         assert_allclose(spec.weight(0), 1.0, atol=1e-15)
         assert np.all(spec.weights[spec.orders != 0] == 0)
 
     def test_single_spin_ix_splits_into_plus_minus_one(self):
         b = build_basis(1)
         ix = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-        spec = coherence_order_decompose(DensityMatrix(b, ix))
+        spec = mqc_exact(coherence_order_weights(ix, b))
         assert_allclose(spec.weight(1), 0.5, atol=1e-15)
         assert_allclose(spec.weight(-1), 0.5, atol=1e-15)
         assert spec.weight(0) == 0.0
@@ -292,7 +285,7 @@ class TestCoherenceDecomposition:
         t = t_frac * np.pi / (2 * d)
         b = basis_for(net)
         rho_t = evolve_rho_dense(h0_dense(net), iz_total_dense(2), t)
-        spec = coherence_order_decompose(DensityMatrix(b, rho_t))
+        spec = mqc_exact(coherence_order_weights(rho_t, b))
         assert_allclose(spec.weight(0), np.cos(d * t) ** 2, atol=1e-12)
         assert_allclose(spec.weight(2), 0.5 * np.sin(d * t) ** 2, atol=1e-12)
         assert_allclose(spec.weight(-2), 0.5 * np.sin(d * t) ** 2, atol=1e-12)
@@ -302,14 +295,14 @@ class TestCoherenceDecomposition:
         b = build_basis(4)
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        rho = DensityMatrix(b, m + m.conj().T)
-        spec = coherence_order_decompose(rho)
+        rho = m + m.conj().T
+        spec = mqc_exact(coherence_order_weights(rho, b))
         assert abs(spec.weights.sum() - 1.0) < 1e-12
         for n in range(5):
             assert abs(spec.weight(n) - spec.weight(-n)) < 1e-12
-        assert_allclose(spec.weights, mqc_weights_dense(rho.entries, 4), atol=1e-12)
+        assert_allclose(spec.weights, mqc_weights_dense(rho, 4), atol=1e-12)
 
     def test_zero_density_matrix_has_no_spectrum(self):
         b = build_basis(2)
         with pytest.raises(UndefinedSpectrumError):
-            coherence_order_decompose(DensityMatrix(b, np.zeros((4, 4))))
+            mqc_exact(coherence_order_weights(np.zeros((4, 4)), b))

@@ -180,6 +180,21 @@ class TestSimulate:
             cmd_simulate(RunConfig.parse(text), tmp_path)
         assert list(tmp_path.glob("traj_*")) == []
 
+    def test_exact_capacity_follows_memory(self, tmp_path, monkeypatch):
+        """The exact check compares a byte estimate of the block path with
+        physical memory: 20 real d x d arrays, d = 2^(n-2) for even n.  The
+        5x2x1 lattice has 10 spins, so d = 256."""
+        text = SIM_SMALL.replace("2, 2, 1", "5, 2, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0")
+        need = 8 * 256 * 256 * 20
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
+        with pytest.raises(CapacityError, match="physical memory"):
+            cmd_simulate(RunConfig.parse(text), tmp_path)
+        assert list(tmp_path.glob("traj_*")) == []
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
+        assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 1
+
     def test_typicality_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The typicality check compares a byte estimate with physical
         memory: 12 B per state for the diagonal and each coupled pair of
