@@ -7,7 +7,7 @@ scaling factors, critical fit) on the resulting trajectories.
 """
 
 from .config import RunConfig
-from .errors import (CapacityError, CollapseError, ConfigError, ConvergenceError,
+from .errors import (CapacityError, CollapseError, ConfigError,
                      CoordinateFileError, EstimatorWarning, FitError, GeometryError,
                      InsufficientDataError, NumericalError, PackingError,
                      SaturationError, SpinQuenchError, UndefinedSpectrumError)

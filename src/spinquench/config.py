@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .evolution import DEFAULT_KRYLOV_DIM, DEFAULT_TOL, QuenchProtocol
+from .evolution import DEFAULT_TOL, QuenchProtocol
 from .mqc import EstimatorConfig
 from .network import dipolar_couplings, generate_geometry
 
@@ -82,7 +82,6 @@ SCHEMA = {
     "estimator.k_method": str,
     "estimator.keep_spectra": _parse_bool,
     "numerics.tol": float,
-    "numerics.krylov_dim": int,
     "numerics.max_dense_spins": int,
     "synth.p_list": _parse_float_list,
     "synth.p_c": float,
@@ -227,13 +226,12 @@ class RunConfig:
         mode = self.get("protocol.mode", "average")
         (grid,) = self.require("protocol.time_grid")
         tol = self.get("numerics.tol", DEFAULT_TOL)
-        krylov_dim = self.get("numerics.krylov_dim", DEFAULT_KRYLOV_DIM)
         try:
             if mode == "average":
-                return QuenchProtocol.average(p, grid, tol=tol, krylov_dim=krylov_dim)
+                return QuenchProtocol.average(p, grid, tol=tol)
             if mode == "floquet":
                 (tau_c,) = self.require("protocol.tau_c")
-                return QuenchProtocol.floquet(p, tau_c, grid, tol=tol, krylov_dim=krylov_dim)
+                return QuenchProtocol.floquet(p, tau_c, grid, tol=tol)
         except ValueError as exc:
             raise ConfigError(f"invalid protocol: {exc}") from None
         raise ConfigError(f"protocol.mode must be average or floquet, got {mode!r}")

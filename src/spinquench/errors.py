@@ -2,7 +2,7 @@
 
 Two broad families matter for the CLI exit-code contract: configuration
 problems (bad config files, capacity limits, unreadable inputs) exit with
-code 2, numerical failures (non-convergence, infeasible collapse, failed
+code 2, numerical failures (undefined spectra, infeasible collapse, failed
 fits) exit with code 3.
 """
 
@@ -38,10 +38,6 @@ class CoordinateFileError(ConfigError):
 
 class NumericalError(SpinQuenchError):
     """Base class for runtime numerical failures (CLI exit code 3)."""
-
-
-class ConvergenceError(NumericalError):
-    """Krylov propagation failed to reach tolerance after subdivision."""
 
 
 class UndefinedSpectrumError(NumericalError):

@@ -7,10 +7,9 @@ Two modes:
   floquet   explicit alternation [exp(-i H_dd tau_dd) exp(-i H_0 tau_0)]^N,
             with p = tau_dd / (tau_0 + tau_dd) and t = N (tau_0 + tau_dd).
 
-State vectors are advanced by Propagator, a short-iterative-Lanczos
-exponential (full reorthogonalization, a-posteriori error estimate,
-adaptive step halving) whose matvec reads the per-network sparse H_0 and
-H_dd.
+Propagator advances (dim,) or (dim, k) amplitude arrays with a Chebyshev
+expansion of the exponential over a Gershgorin interval of H(p), whose
+matvec reads the per-network sparse H_0 and H_dd.
 
 The exact path, evolve_density_exact, starts from rho(0) = Iz and yields
 the coherence-order weights of rho(t) at each grid time, never rho(t)
@@ -28,14 +27,13 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import jv
 
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError
 from .network import CouplingNetwork
-from .operators import SpinBasis, StateVector, _apply_mixed_array, dense_hamiltonian, workspace_for
+from .operators import SpinBasis, _apply_mixed_array, dense_hamiltonian, workspace_for
 
 MAX_DENSE_SPINS = 14
-DEFAULT_KRYLOV_DIM = 30
 DEFAULT_TOL = 1e-10
 
 
@@ -49,7 +47,7 @@ def default_time_grid(d_max: float, n_points: int = 40, span: tuple[float, float
 
 @dataclass(frozen=True, eq=False)
 class QuenchProtocol:
-    """Evolution recipe: mode, perturbation strength, grid, solver knobs.
+    """Evolution recipe: mode, perturbation strength, grid, solver tolerance.
 
     In average mode time_grid holds sample times; in floquet mode it holds
     integer cycle counts and the physical time is count * (tau_0 + tau_dd).
@@ -60,7 +58,6 @@ class QuenchProtocol:
     time_grid: np.ndarray
     tau_0: float = 0.0
     tau_dd: float = 0.0
-    krylov_dim: int = DEFAULT_KRYLOV_DIM
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
@@ -82,24 +79,22 @@ class QuenchProtocol:
                 raise ValueError("p must equal tau_dd / (tau_0 + tau_dd) to 1e-12")
             if np.any(grid != np.round(grid)):
                 raise ValueError("floquet time_grid holds integer cycle counts")
-        if self.krylov_dim < 2:
-            raise ValueError("krylov_dim must be >= 2")
         if not 0 < self.tol < 1e-2:
             raise ValueError("tol must be in (0, 1e-2)")
         grid.flags.writeable = False
         object.__setattr__(self, "time_grid", grid)
 
     @classmethod
-    def average(cls, p: float, time_grid, krylov_dim: int = DEFAULT_KRYLOV_DIM, tol: float = DEFAULT_TOL):
-        return cls("average", p, np.asarray(time_grid, dtype=float), krylov_dim=krylov_dim, tol=tol)
+    def average(cls, p: float, time_grid, tol: float = DEFAULT_TOL):
+        return cls("average", p, np.asarray(time_grid, dtype=float), tol=tol)
 
     @classmethod
-    def floquet(cls, p: float, tau_c: float, cycle_grid, krylov_dim: int = DEFAULT_KRYLOV_DIM, tol: float = DEFAULT_TOL):
+    def floquet(cls, p: float, tau_c: float, cycle_grid, tol: float = DEFAULT_TOL):
         """Cycle built from p and the total cycle time tau_c = tau_0 + tau_dd."""
         tau_dd = p * tau_c
         tau_0 = tau_c - tau_dd
         return cls("floquet", p, np.asarray(cycle_grid, dtype=float), tau_0=tau_0, tau_dd=tau_dd,
-                   krylov_dim=krylov_dim, tol=tol)
+                   tol=tol)
 
     @property
     def times(self) -> np.ndarray:
@@ -110,86 +105,78 @@ class QuenchProtocol:
 
     def digest(self) -> str:
         payload = "|".join([
-            self.mode, repr(self.p), repr(self.tau_0), repr(self.tau_dd),
-            repr(self.krylov_dim), repr(self.tol),
+            self.mode, repr(self.p), repr(self.tau_0), repr(self.tau_dd), repr(self.tol),
             ",".join(repr(t) for t in self.time_grid),
         ])
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, tol: float = DEFAULT_TOL,
-                         krylov_dim: int = DEFAULT_KRYLOV_DIM, max_depth: int = 40) -> np.ndarray:
-    """exp(-1j dt H) v for Hermitian H given as a matvec callable.
+#: (-i)^k by k mod 4
+_POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
 
-    Lanczos with full reorthogonalization; a step is accepted when the
-    residual estimate beta_{m+1} |y_m| clears tol with a safety factor,
-    otherwise dt is halved recursively.  Signed dt gives the conjugate
-    (backward) evolution.
+
+def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[float, float],
+                         tol: float = DEFAULT_TOL) -> np.ndarray:
+    """exp(-1j dt H) v for Hermitian H given as a matvec, v of shape (dim,) or (dim, k).
+
+    Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984)
+    on spectrum = (lo, hi), an interval that holds every eigenvalue of H.
+    With H = c + r X, c and r the interval's center and half width,
+    exp(-i dt H) = exp(-i c dt) sum_k (2 - delta_k0) (-i)^k J_k(r dt) T_k(X),
+    and T_k(X) v follows the recurrence T_k+1 = 2 X T_k - T_k-1.  The sum
+    is cut where the dropped |coefficients| add up to less than tol / 100;
+    as ||T_k(X)|| <= 1, each column is then off by less than tol / 100
+    times its norm, whatever dt, so a hundred chained calls (grid steps,
+    Floquet legs) stay within tol.  A negative dt runs backward, and one
+    expansion covers any span.  The sum is a polynomial in H, so the result lies in
+    the Krylov space of v; the name stays because perfbench/tracing.py
+    wraps this function by name.
     """
     v = np.asarray(v, dtype=np.complex128)
-    if dt == 0.0:
-        return v.copy()
-    norm_v = np.linalg.norm(v)
-    if norm_v == 0.0:
-        return v.copy()
-    dim = v.shape[0]
-    m_max = min(krylov_dim, dim)
-    # rough spectral scale from one Rayleigh quotient; only steers the
-    # initial chunking, correctness rests on the residual test below
-    h_scale = np.linalg.norm(matvec(v / norm_v))
-    n_chunks = max(1, int(np.ceil(abs(dt) * h_scale / max(1.0, 0.5 * m_max))))
-
-    def step(u: np.ndarray, h: float, depth: int) -> np.ndarray:
-        nu = np.linalg.norm(u)
-        V = np.empty((m_max + 1, dim), dtype=np.complex128)
-        V[0] = u / nu
-        alpha = np.empty(m_max)
-        beta = np.empty(m_max)
-        m_eff = m_max
-        beta_next = 0.0
-        for j in range(m_max):
-            w = matvec(V[j])
-            alpha[j] = np.vdot(V[j], w).real
-            w -= alpha[j] * V[j]
-            if j > 0:
-                w -= beta[j - 1] * V[j - 1]
-            # full reorthogonalization keeps the basis usable at tol ~ 1e-10;
-            # conj(V w*) = V* w without a conjugated copy of the basis
-            w -= V[: j + 1].T @ (V[: j + 1] @ w.conj()).conj()
-            b = np.linalg.norm(w)
-            if b <= 1e-14 * max(1.0, abs(alpha[: j + 1]).max()):
-                m_eff = j + 1
-                beta_next = 0.0
-                break
-            beta[j] = b
-            beta_next = b
-            if j + 1 < m_max:
-                V[j + 1] = w / b
-        else:
-            m_eff = m_max
-        evals, evecs = eigh_tridiagonal(alpha[:m_eff], beta[: m_eff - 1])
-        y = evecs @ (np.exp(-1j * h * evals) * evecs[0, :])
-        err = beta_next * abs(y[-1])
-        if err <= 0.1 * tol or m_eff < m_max:
-            return nu * (y @ V[:m_eff])
-        if depth >= max_depth:
-            raise ConvergenceError(
-                f"Krylov exponential did not reach tol={tol:g} after {max_depth} halvings "
-                f"(dim {m_eff}, last residual estimate {err:.3e}, dt {h:g})"
-            )
-        half = step(u, 0.5 * h, depth + 1)
-        return step(half, 0.5 * h, depth + 1)
-
-    out = v
-    sub = float(dt) / n_chunks
-    for _ in range(n_chunks):
-        out = step(out, sub, 0)
+    lo, hi = spectrum
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x = r * dt
+    # J_k(x) is below 1e-16 well before k = |x| + 10 |x|^(1/3) + 20
+    k = np.arange(int(abs(x) + 10.0 * abs(x) ** (1.0 / 3.0) + 20))
+    coef = jv(k, x) * _POWERS_OF_MINUS_I[k % 4]
+    coef[1:] *= 2.0
+    tail = np.cumsum(np.abs(coef[::-1]))[::-1]
+    coef = coef[: max(1, np.count_nonzero(tail >= 0.01 * tol))] * np.exp(-1j * c * dt)
+    out = coef[0] * v
+    if coef.size == 1:
+        return out
+    prev = v
+    cur = matvec(v)
+    cur -= c * v
+    cur /= r
+    out += coef[1] * cur
+    for a in coef[2:]:
+        nxt = matvec(cur)
+        nxt -= c * cur
+        nxt *= 2.0 / r
+        nxt -= prev
+        out += a * nxt
+        prev, cur = cur, nxt
     return out
 
 
-class Propagator:
-    """Binds (network, protocol); advances states across grid intervals.
+def _spectral_interval(ws, p: float) -> tuple[float, float]:
+    """Union of the Gershgorin discs of H(p): (lo, hi) holds its spectrum.
 
+    H_0 and H_dd share no off-diagonal entry (a pair partner lies either in
+    the same M_z sector or two sectors away), so the radius of row s is
+    (1-p) times its H_0 row sum plus p times its off-diagonal H_dd row sum.
+    """
+    zz = ws.hdd.diagonal()
+    radius = (1.0 - p) * abs(ws.h0).sum(axis=1) + p * (abs(ws.hdd).sum(axis=1) - np.abs(zz))
+    return float(np.min(p * zz - radius)), float(np.max(p * zz + radius))
+
+
+class Propagator:
+    """Binds (network, protocol); advances (dim,) or (dim, k) amplitude
+    arrays across grid intervals.
+
+    The spectral interval of each H(p) the protocol uses is computed once.
     Forward and backward steps are exact conjugates, so backward after
     forward over the same interval restores the input to solver tolerance.
     """
@@ -198,11 +185,14 @@ class Propagator:
         self.network = network
         self.protocol = protocol
         self._ws = workspace_for(network)
+        ps = (protocol.p,) if protocol.mode == "average" else (0.0, 1.0)
+        self._spectrum = {p: _spectral_interval(self._ws, p) for p in ps}
 
     def _exp(self, amp: np.ndarray, p: float, duration: float) -> np.ndarray:
+        # perfbench/tracing.py wraps this by name and unpacks its arguments
         return expm_multiply_krylov(
             lambda x: _apply_mixed_array(self._ws, p, x), amp, duration,
-            tol=self.protocol.tol, krylov_dim=self.protocol.krylov_dim,
+            spectrum=self._spectrum[p], tol=self.protocol.tol,
         )
 
     def _cycles(self, amp: np.ndarray, count: int, backward: bool) -> np.ndarray:
@@ -220,33 +210,26 @@ class Propagator:
         grid = self.protocol.time_grid
         return float(grid[i] - (grid[i - 1] if i > 0 else 0.0))
 
-    def step_forward(self, v: StateVector, i: int) -> StateVector:
+    def step_forward(self, amp: np.ndarray, i: int) -> np.ndarray:
         """Advance from grid point i-1 (or the origin for i=0) to point i."""
         pr = self.protocol
         if pr.mode == "average":
-            amp = self._exp(v.amplitudes, pr.p, self._interval(i))
-        else:
-            amp = self._cycles(v.amplitudes, int(round(self._interval(i))), backward=False)
-        return StateVector(v.basis, amp)
+            return self._exp(amp, pr.p, self._interval(i))
+        return self._cycles(amp, int(round(self._interval(i))), backward=False)
 
-    def step_backward(self, v: StateVector, i: int) -> StateVector:
+    def step_backward(self, amp: np.ndarray, i: int) -> np.ndarray:
+        """Undo step_forward(., i)."""
         pr = self.protocol
         if pr.mode == "average":
-            amp = self._exp(v.amplitudes, pr.p, -self._interval(i))
-        else:
-            amp = self._cycles(v.amplitudes, int(round(self._interval(i))), backward=True)
-        return StateVector(v.basis, amp)
+            return self._exp(amp, pr.p, -self._interval(i))
+        return self._cycles(amp, int(round(self._interval(i))), backward=True)
 
-    def span_forward(self, v: StateVector, i: int) -> StateVector:
+    def span_forward(self, amp: np.ndarray, i: int) -> np.ndarray:
         """Advance from the origin all the way to grid point i in one call."""
         pr = self.protocol
         if pr.mode == "average":
-            amp = self._exp(v.amplitudes, pr.p, float(pr.time_grid[i]))
-        else:
-            amp = self._cycles(v.amplitudes, int(round(pr.time_grid[i])), backward=False)
-        return StateVector(v.basis, amp)
-
-
+            return self._exp(amp, pr.p, float(pr.time_grid[i]))
+        return self._cycles(amp, int(round(pr.time_grid[i])), backward=False)
 
 
 class _Block:

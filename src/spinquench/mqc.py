@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EstimatorWarning, NumericalError, UndefinedSpectrumError
 from .evolution import Propagator, QuenchProtocol, evolve_density_exact
 from .network import CouplingNetwork
-from .operators import StateVector, gaussian_state, workspace_for
+from .operators import gaussian_state, workspace_for
 
 #: weights below this are fp dust on the exact path and do not count
 #: toward the envelope (keeps K(t=0) pinned at 1)
@@ -169,9 +169,10 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
 
     A(k) is proportional to the sum over m - m' = k of ||P_m rho(t) P_m'||_F^2.
     Per sample, one Gaussian vector r is cut into its sector slices r_m',
-    and each slice is carried to y = rho(t) r_m' = U (Iz U' r_m'), with U'
-    the backward propagator advanced incrementally along the grid and U
-    one adaptive call from 0 to t; |P_m y|^2 estimates the (m, m') term.
+    the columns of one (dim, n//2 + 1) block, and each slice is carried to
+    y = rho(t) r_m' = U (Iz U' r_m'), with U' the backward propagator
+    advanced incrementally along the grid and U one expansion from 0 to t;
+    |P_m y|^2 estimates the (m, m') term.
     Global spin flip maps rho to -rho, so ||P_-m rho P_-m'|| = ||P_m rho P_m'||
     and only the sectors m' >= 0 are propagated, each adding its weights
     to order m - m' and, for m' != 0, to the mirrored order m' - m.
@@ -184,20 +185,23 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
     prop = Propagator(network, protocol)
     times = protocol.times
     n_t = times.size
-    mz = basis.mz_of
+    ups = np.arange((n + 1) // 2, n + 1)
+    # column c of the block keeps the sector with ups[c] spins up
+    in_sector = basis.n_up[:, None] == ups
     n_samples = estimator.n_samples
     per_sample = np.zeros((n_samples, n_t, 2 * n + 1))
     for s_i in range(n_samples):
         seed = estimator.base_seed + s_i
         r = gaussian_state(basis, seed).amplitudes
+        block = np.where(in_sector, r[:, None], 0.0)
         acc = per_sample[s_i]
-        for up in range((n + 1) // 2, n + 1):
-            stream = StateVector(basis, np.where(basis.n_up == up, r, 0.0))
-            for j in range(n_t):
-                stream = prop.step_backward(stream, j)
-                y = prop.span_forward(StateVector(basis, mz * stream.amplitudes), j).amplitudes
+        for j in range(n_t):
+            block = prop.step_backward(block, j)
+            y = prop.span_forward(basis.mz_of[:, None] * block, j)
+            sq = y.real ** 2 + y.imag ** 2
+            for c, up in enumerate(ups):
                 # w[k] = |P_k y|^2, k spins up; order k - up sits at index n + k - up
-                w = np.bincount(basis.n_up, y.real ** 2 + y.imag ** 2, minlength=n + 1)
+                w = np.bincount(basis.n_up, sq[:, c], minlength=n + 1)
                 acc[j, n - up: 2 * n - up + 1] += w
                 if 2 * up != n:
                     acc[j, up: up + n + 1] += w[::-1]

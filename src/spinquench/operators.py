@@ -232,34 +232,6 @@ def _apply_mixed_array(ws: _Workspace, p: float, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_match(network: CouplingNetwork, v: StateVector):
-    if v.basis.n_spins != network.n_spins:
-        raise ValueError(f"state has {v.basis.n_spins} spins, network has {network.n_spins}")
-
-
-def apply_hdd(network: CouplingNetwork, v: StateVector) -> StateVector:
-    """H_dd v, the M_z-conserving zz + flip-flop pair sum."""
-    _check_match(network, v)
-    ws = workspace_for(network)
-    return StateVector(v.basis, _apply_mixed_array(ws, 1.0, v.amplitudes))
-
-
-def apply_h0(network: CouplingNetwork, v: StateVector) -> StateVector:
-    """H_0 v, the double-quantum flip-flip/flop-flop pair sum."""
-    _check_match(network, v)
-    ws = workspace_for(network)
-    return StateVector(v.basis, _apply_mixed_array(ws, 0.0, v.amplitudes))
-
-
-def apply_mixed(network: CouplingNetwork, p: float, v: StateVector) -> StateVector:
-    """[(1-p) H_0 + p H_dd] v."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    _check_match(network, v)
-    ws = workspace_for(network)
-    return StateVector(v.basis, _apply_mixed_array(ws, float(p), v.amplitudes))
-
-
 def dense_hamiltonian(network: CouplingNetwork, p: float, indices: np.ndarray | None = None) -> np.ndarray:
     """Dense real-symmetric H(p), optionally restricted to a basis subset.
 

@@ -19,7 +19,7 @@ from . import io as sqio
 from . import plots
 from .config import RunConfig
 from .errors import CapacityError, ConfigError
-from .evolution import DEFAULT_KRYLOV_DIM, MAX_DENSE_SPINS
+from .evolution import MAX_DENSE_SPINS
 from .mqc import ClusterTrajectory, trajectory
 from .scaling import (fit_growth_exponent, full_scaling_analysis, rescale,
                       synth_trajectories)
@@ -56,27 +56,42 @@ def _capacity_check(config: RunConfig, network):
     """Reject oversized requests before any evolution starts."""
     n_spins = network.n_spins
     kind = config.get("estimator.kind", "exact")
+    dim = 1 << n_spins
+    n_pairs = sum(1 for _ in network.pairs())
+    # H_0 and H_dd store one 12-byte entry (float64 value, int32 column) per
+    # state for the diagonal and for every coupled pair
+    sparse_h = 12 * dim * (n_pairs + 1)
     if kind == "exact":
         cap = min(MAX_DENSE_SPINS, config.get("numerics.max_dense_spins", MAX_DENSE_SPINS))
         if n_spins > cap:
             raise CapacityError(
                 f"exact estimator capped at {cap} spins, geometry has {n_spins}; "
                 "use estimator.kind = typicality or a smaller geometry")
-        # the block path holds real d x d arrays, d = 2^(n-2) for even n and
-        # 2^(n-1) for odd n: the eigenvectors of its 4 (odd n: 1) blocks,
-        # 2 (1) W, the dense parity block and H+- while one is diagonalized
-        # 6 (1), X and its temporaries 8
+        # real d x d arrays alive together at the peak of the block path,
+        # d = 2^(n-2) for even n (two parity blocks of +- halves), 2^(n-1)
+        # for odd n (one block):
+        #   average, even: a grid time, 12 = V+, V- and W of both blocks 6,
+        #     the complex phases 2, Re X and Im X 2, weight temporaries 2;
+        #     the second block's set-up stays below, 10 = the first block's
+        #     V+, V-, W 3, H+ and H- 2, V+ 1, eigh's copy, work and output 4
+        #   average, odd: 8 = V and W 2, phases 2, X 2, temporaries 2
+        #   floquet, even: a cycle, 22 = both blocks' one-cycle unitaries 8
+        #     and the last set-up's spare 2, the old X of both blocks and
+        #     the loop's reference to one 6, a new X, a product and its
+        #     temporary 6
+        #   floquet, odd: 12 = the unitary and its adjoint 4, old X and the
+        #     loop's reference 4, a product and its temporary 4
+        # plus H_0 and H_dd, and 48 MiB for BLAS buffers and freed arrays
+        # the allocator keeps (6-32 MiB measured at n = 10-14)
         d = 1 << (n_spins - 2 + n_spins % 2)
-        need = 8 * d * d * (11 if n_spins % 2 else 20)
+        floquet = config.get("protocol.mode", "average") == "floquet"
+        arrays = ((22, 12) if floquet else (12, 8))[n_spins % 2]
+        need = 8 * d * d * arrays + sparse_h + 48 * 2**20
         what = "the exact estimator"
     else:
-        # lower bound: H_0 and H_dd store one 12-byte entry (float64 value,
-        # int32 column) per state for the diagonal and for every coupled pair,
-        # and the Lanczos basis holds krylov_dim + 1 complex vectors
-        dim = 1 << n_spins
-        n_pairs = sum(1 for _ in network.pairs())
-        krylov_dim = config.get("numerics.krylov_dim", DEFAULT_KRYLOV_DIM)
-        need = 12 * dim * (n_pairs + 1) + 16 * dim * (krylov_dim + 1)
+        # lower bound: H_0 and H_dd, and the four complex (dim, n//2 + 1)
+        # blocks of the Chebyshev recurrence: T_k-1 v, T_k v, T_k+1 v, the sum
+        need = sparse_h + 64 * dim * (n_spins // 2 + 1)
         what = f"typicality with {n_pairs} coupled pairs"
     have = _physical_memory()
     if need > have:

@@ -156,9 +156,12 @@ class XiFit:
 
 @dataclass(frozen=True, eq=False)
 class BetaScan:
+    """Residual per beta; best holds the collapse at best_beta."""
+
     best_beta: float
     residuals: dict
     full_residuals: dict
+    best: CollapseResult
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,11 +617,13 @@ def beta_scan(trajs: list[ClusterTrajectory], growth: GrowthFit,
         beta_grid = DEFAULT_BETA_GRID
     residuals = {}
     full_residuals = {}
+    results = {}
     failures = {}
     for beta in beta_grid:
         try:
             curves = rescale(trajs, growth, beta, t_min)
             result = collapse(curves)
+            results[float(beta)] = result
             residuals[float(beta)] = result.trimmed_residual()
             full_residuals[float(beta)] = result.residual
         except (CollapseError, ValueError) as exc:
@@ -629,7 +634,8 @@ def beta_scan(trajs: list[ClusterTrajectory], growth: GrowthFit,
     if not finite:
         raise CollapseError(f"collapse failed for every beta in the grid: {failures}")
     best = min(finite, key=finite.get)
-    return BetaScan(best_beta=best, residuals=residuals, full_residuals=full_residuals)
+    return BetaScan(best_beta=best, residuals=residuals, full_residuals=full_residuals,
+                    best=results[best])
 
 
 def _soft_log_branch(z: np.ndarray) -> np.ndarray:
@@ -706,8 +712,7 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     growth = fit_growth_exponent(trajs[0], t_min=growth_t_min)
     eff_t_min = growth.t_min if t_min is None else t_min
     scan = beta_scan(trajs, growth, beta_grid, eff_t_min)
-    curves = rescale(trajs, growth, scan.best_beta, eff_t_min)
-    coll = collapse(curves)
+    coll = scan.best
     anchor_traj = next((tr for tr in trajs if abs(tr.p - anchor_p) <= 1e-9 * max(1.0, abs(anchor_p))), None)
     if anchor_traj is None:
         raise ValueError(f"anchor p={anchor_p} has no trajectory (have {[tr.p for tr in trajs]})")

@@ -25,7 +25,8 @@ from spinquench.evolution import Propagator, QuenchProtocol, evolve_density_exac
 from spinquench.mqc import (EstimatorConfig, ClusterTrajectory, mqc_exact,
                             mqc_typicality_grid, trajectory)
 from spinquench.network import cubic_lattice_geometry, dipolar_couplings
-from spinquench.operators import StateVector, apply_h0, apply_hdd, basis_for, gaussian_state
+from spinquench.operators import (StateVector, _apply_mixed_array, basis_for, gaussian_state,
+                                  workspace_for)
 from spinquench.pipeline import cmd_scale, cmd_simulate, cmd_synth
 from spinquench.scaling import (RescaledCurve, beta_scan, collapse, estimate_k_loc,
                                 fit_growth_exponent, normalize_xi, scaling_exponents,
@@ -65,12 +66,12 @@ def test_01_selection_rules(chain6, lattice8, lattice10):
     with criterion(1, "selection rules") as check:
         leak_dd = leak_dq = 0.0
         for net in (chain6, lattice8, lattice10):
-            basis = basis_for(net)
-            mz = basis.mz_of
-            for s in range(basis.dimension):
-                v = StateVector(basis, basis_vector(basis.n_spins, s))
-                out_dd = apply_hdd(net, v).amplitudes
-                out_dq = apply_h0(net, v).amplitudes
+            ws = workspace_for(net)
+            mz = ws.basis.mz_of
+            for s in range(ws.basis.dimension):
+                v = basis_vector(ws.basis.n_spins, s)
+                out_dd = _apply_mixed_array(ws, 1.0, v)
+                out_dq = _apply_mixed_array(ws, 0.0, v)
                 leak_dd = max(leak_dd, float(np.abs(out_dd[mz != mz[s]]).max()))
                 off = np.abs(mz - mz[s]) != 2
                 leak_dq = max(leak_dq, float(np.abs(out_dq[off]).max()))
@@ -106,7 +107,7 @@ def test_02_oracle_equivalence(chain6, lattice8, lattice10):
                     h_cache[p] = h_mixed_dense(net, p)
                 dense = evolve_state_dense(h_cache[p], v.amplitudes, t)
                 prop = Propagator(net, QuenchProtocol.average(p, [t]))
-                free = prop.span_forward(v, 0).amplitudes
+                free = prop.span_forward(v.amplitudes, 0)
                 worst = max(worst, float(np.abs(dense - free).max()))
         check(worst <= 1e-8, f"dense vs Propagator max component err {worst:.2e} (20 pairs)")
 
@@ -141,7 +142,7 @@ def test_03_conservation(lattice8):
         v = v0.copy()
         norm_drift = 0.0
         for i in range(grid.size):
-            v = prop.step_forward(v, i)
+            v = StateVector(basis, prop.step_forward(v.amplitudes, i))
             norm_drift = max(norm_drift, abs(v.norm - 1.0))
         check(norm_drift <= 1e-10, f"norm drift {norm_drift:.1e} over 40 steps")
 
@@ -156,7 +157,7 @@ def test_03_conservation(lattice8):
 
         back = v.copy()
         for i in reversed(range(grid.size)):
-            back = prop.step_backward(back, i)
+            back = StateVector(basis, prop.step_backward(back.amplitudes, i))
         fidelity = abs(np.vdot(v0.amplitudes, back.amplitudes)) / (v0.norm * back.norm)
         check(fidelity >= 1.0 - 1e-8, f"reversibility fidelity 1 - {1.0 - fidelity:.1e}")
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from spinquench.errors import CapacityError, ConvergenceError
+from spinquench.errors import CapacityError
 from spinquench.evolution import (
     Propagator,
     QuenchProtocol,
@@ -13,13 +13,7 @@ from spinquench.evolution import (
 )
 from spinquench.mqc import mqc_exact
 from spinquench.network import SpinGeometry, dipolar_couplings
-from spinquench.operators import (
-    StateVector,
-    _apply_mixed_array,
-    basis_for,
-    gaussian_state,
-    workspace_for,
-)
+from spinquench.operators import StateVector, basis_for, gaussian_state
 
 from oracles import (basis_vector, evolve_rho_dense, evolve_state_dense, floquet_cycle_dense,
                      h_mixed_dense, iz_total_dense, mqc_weights_dense)
@@ -46,12 +40,14 @@ def unit_state(basis, seed):
 
 def evolve(net, p, t, v, tol=1e-10):
     """exp(-i H(p) t) v through a one-point average-mode Propagator."""
-    return Propagator(net, QuenchProtocol.average(p, [t], tol=tol)).span_forward(v, 0)
+    prop = Propagator(net, QuenchProtocol.average(p, [t], tol=tol))
+    return StateVector(v.basis, prop.span_forward(v.amplitudes, 0))
 
 
 def evolve_cycles(net, p, tau_c, n_cycles, v):
     """n_cycles Floquet cycles of length tau_c through a Propagator."""
-    return Propagator(net, QuenchProtocol.floquet(p, tau_c, [n_cycles], tol=1e-12)).span_forward(v, 0)
+    prop = Propagator(net, QuenchProtocol.floquet(p, tau_c, [n_cycles], tol=1e-12))
+    return StateVector(v.basis, prop.span_forward(v.amplitudes, 0))
 
 
 class TestProtocolValidation:
@@ -133,9 +129,9 @@ class TestPropagateAverage:
         v = unit_state(basis_for(net), 6)
         tol = 1e-10
         prop = Propagator(net, QuenchProtocol.average(0.6, [3.0], tol=tol))
-        fwd = prop.step_forward(v, 0)
+        fwd = prop.step_forward(v.amplitudes, 0)
         back = prop.step_backward(fwd, 0)
-        fidelity = abs(np.vdot(v.amplitudes, back.amplitudes))
+        fidelity = abs(np.vdot(v.amplitudes, back))
         assert fidelity >= 1.0 - 100 * tol
 
 
@@ -180,34 +176,67 @@ class TestPropagateFloquet:
 
 
 class TestKrylovStep:
-    def test_convergence_failure_is_reported(self):
+    def test_block_columns_match_single_columns(self):
+        """Each column of a (dim, 3) block comes out as that column
+        propagated alone, in average and Floquet mode."""
         net = jittered_network(6, 37)
-        ws = workspace_for(net)
-        v = unit_state(ws.basis, 3)
-        with pytest.raises(ConvergenceError, match="Krylov"):
-            expm_multiply_krylov(lambda x: _apply_mixed_array(ws, 0.5, x), v.amplitudes,
-                                 50.0, tol=1e-12, krylov_dim=2, max_depth=1)
+        b = basis_for(net)
+        block = np.stack([unit_state(b, s).amplitudes for s in (3, 4, 5)], axis=1)
+        for prot in (QuenchProtocol.average(0.45, [0.7, 2.9]),
+                     QuenchProtocol.floquet(0.3, 0.4, [3, 7])):
+            prop = Propagator(net, prot)
+            got = prop.step_backward(prop.span_forward(block, 1), 0)
+            for c in range(3):
+                alone = prop.step_backward(prop.span_forward(block[:, c], 1), 0)
+                assert np.max(np.abs(got[:, c] - alone)) < 1e-13
+
+    def test_long_span_matches_dense_oracle(self):
+        """One expansion over a long span, ||H|| t = 250."""
+        net = jittered_network(8, 53)
+        v = unit_state(basis_for(net), 15)
+        h = h_mixed_dense(net, 0.6)
+        t = 250.0 / np.linalg.norm(h, 2)
+        got = evolve(net, 0.6, t, v).amplitudes
+        want = evolve_state_dense(h, v.amplitudes, t)
+        assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_zero_spectral_width_returns_input_times_phase(self):
+        """Spins beyond the cutoff radius have no couplings, so H(p) = 0:
+        the interval (0, 0) has no width, and the expansion returns its
+        input times the phase exp(-i c dt) = 1 without a single matvec."""
+        pos = np.arange(3)[:, None] * [5.0, 0.0, 0.0]
+        net = dipolar_couplings(SpinGeometry(pos, Z), cutoff_radius=1.0)
+        v = unit_state(basis_for(net), 16).amplitudes
+
+        def matvec(x):
+            raise AssertionError("no matvec expected")
+
+        assert np.array_equal(expm_multiply_krylov(matvec, v, 3.0, spectrum=(0.0, 0.0)), v)
+        c = 0.8
+        assert_allclose(expm_multiply_krylov(matvec, v, 3.0, spectrum=(c, c)),
+                        np.exp(-3j * c) * v, rtol=0, atol=1e-15)
+        assert np.array_equal(evolve(net, 0.4, 3.0, StateVector(basis_for(net), v)).amplitudes, v)
 
     def test_propagator_span_equals_stepping(self):
         net = jittered_network(5, 41)
         b = basis_for(net)
         prot = QuenchProtocol.average(0.3, [0.5, 1.1, 2.3], tol=1e-12)
         prop = Propagator(net, prot)
-        v = unit_state(b, 12)
+        v = unit_state(b, 12).amplitudes
         stepped = v
         for i in range(3):
             stepped = prop.step_forward(stepped, i)
         spanned = prop.span_forward(v, 2)
-        assert np.max(np.abs(stepped.amplitudes - spanned.amplitudes)) < 1e-9
+        assert np.max(np.abs(stepped - spanned)) < 1e-9
 
     def test_propagator_step_backward_inverts_step_forward(self):
         net = jittered_network(5, 43)
         prot = QuenchProtocol.floquet(0.5, 0.4, [2, 5], tol=1e-12)
         prop = Propagator(net, prot)
-        v = unit_state(basis_for(net), 14)
+        v = unit_state(basis_for(net), 14).amplitudes
         fwd = prop.step_forward(v, 1)
         back = prop.step_backward(fwd, 1)
-        assert abs(np.vdot(v.amplitudes, back.amplitudes)) >= 1.0 - 1e-9
+        assert abs(np.vdot(v, back)) >= 1.0 - 1e-9
 
 
 def iz_weights(n):

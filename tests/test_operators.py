@@ -10,9 +10,6 @@ from spinquench.operators import (
     DensityMatrix,
     StateVector,
     _apply_mixed_array,
-    apply_h0,
-    apply_hdd,
-    apply_mixed,
     basis_for,
     build_basis,
     coherence_order_weights,
@@ -113,8 +110,7 @@ class TestPairActions:
     def test_hdd_on_antialigned_pair(self):
         net = two_spin_network(d=-2.0)
         d = net.couplings[0, 1]
-        b = basis_for(net)
-        out = apply_hdd(net, StateVector(b, basis_vector(2, 0b01))).amplitudes
+        out = _apply_mixed_array(workspace_for(net), 1.0, basis_vector(2, 0b01))
         expected = np.zeros(4, dtype=complex)
         expected[0b01] = -d / 2
         expected[0b10] = -d / 2
@@ -123,8 +119,7 @@ class TestPairActions:
     def test_hdd_on_aligned_pair(self):
         net = two_spin_network(d=-2.0)
         d = net.couplings[0, 1]
-        b = basis_for(net)
-        out = apply_hdd(net, StateVector(b, basis_vector(2, 0b11))).amplitudes
+        out = _apply_mixed_array(workspace_for(net), 1.0, basis_vector(2, 0b11))
         expected = np.zeros(4, dtype=complex)
         expected[0b11] = d / 2
         assert_allclose(out, expected, atol=1e-15)
@@ -132,16 +127,14 @@ class TestPairActions:
     def test_h0_double_raises_down_down(self):
         net = two_spin_network(d=-2.0)
         d = net.couplings[0, 1]
-        b = basis_for(net)
-        out = apply_h0(net, StateVector(b, basis_vector(2, 0b00))).amplitudes
+        out = _apply_mixed_array(workspace_for(net), 0.0, basis_vector(2, 0b00))
         expected = np.zeros(4, dtype=complex)
         expected[0b11] = -d / 2
         assert_allclose(out, expected, atol=1e-15)
 
     def test_h0_annihilates_antialigned_pair(self):
         net = two_spin_network(d=-2.0)
-        b = basis_for(net)
-        out = apply_h0(net, StateVector(b, basis_vector(2, 0b01))).amplitudes
+        out = _apply_mixed_array(workspace_for(net), 0.0, basis_vector(2, 0b01))
         assert np.all(out == 0)
 
     @given(st.integers(0, 50))
@@ -149,13 +142,14 @@ class TestPairActions:
         net = random_network(6, 3)
         b = basis_for(net)
         v = random_state(b, seed)
-        out = apply_hdd(net, v).amplitudes
+        ws = workspace_for(net)
+        out = _apply_mixed_array(ws, 1.0, v.amplitudes)
         for k in range(7):
             idx = b.sector(k)
             mask = np.zeros(b.dimension, bool)
             mask[idx] = True
             probe = v.amplitudes * mask
-            got = apply_hdd(net, StateVector(b, probe)).amplitudes
+            got = _apply_mixed_array(ws, 1.0, probe)
             assert np.all(got[~mask] == 0)
         assert out.shape == (64,)
 
@@ -168,7 +162,7 @@ class TestPairActions:
             idx = b.sector(k)
             mask = np.zeros(b.dimension, bool)
             mask[idx] = True
-            got = apply_h0(net, StateVector(b, v.amplitudes * mask)).amplitudes
+            got = _apply_mixed_array(workspace_for(net), 0.0, v.amplitudes * mask)
             allowed = np.zeros(b.dimension, bool)
             for kk in (k - 2, k + 2):
                 if 0 <= kk <= 6:
@@ -177,15 +171,10 @@ class TestPairActions:
 
     def test_mixed_endpoints_match_components(self):
         net = random_network(5, 4)
-        v = random_state(basis_for(net), 0)
-        assert np.array_equal(apply_mixed(net, 1.0, v).amplitudes, apply_hdd(net, v).amplitudes)
-        assert np.array_equal(apply_mixed(net, 0.0, v).amplitudes, apply_h0(net, v).amplitudes)
-
-    def test_mixed_rejects_p_outside_unit_interval(self):
-        net = random_network(3, 0)
-        v = random_state(basis_for(net), 0)
-        with pytest.raises(ValueError, match="p must be"):
-            apply_mixed(net, 1.5, v)
+        ws = workspace_for(net)
+        v = random_state(ws.basis, 0).amplitudes
+        assert np.array_equal(_apply_mixed_array(ws, 1.0, v), ws.hdd @ v)
+        assert np.array_equal(_apply_mixed_array(ws, 0.0, v), ws.h0 @ v)
 
     @given(st.integers(0, 30), st.floats(0.0, 1.0))
     def test_hermiticity_of_mixed_action(self, seed, p):
@@ -193,8 +182,9 @@ class TestPairActions:
         b = basis_for(net)
         u = random_state(b, seed)
         v = random_state(b, seed + 1000)
-        huv = np.vdot(u.amplitudes, apply_mixed(net, p, v).amplitudes)
-        hvu = np.vdot(v.amplitudes, apply_mixed(net, p, u).amplitudes)
+        ws = workspace_for(net)
+        huv = np.vdot(u.amplitudes, _apply_mixed_array(ws, p, v.amplitudes))
+        hvu = np.vdot(v.amplitudes, _apply_mixed_array(ws, p, u.amplitudes))
         assert abs(huv - np.conj(hvu)) < 1e-12
 
 
@@ -205,7 +195,7 @@ class TestDenseOracleEquivalence:
         b = basis_for(net)
         v = random_state(b, 99)
         h = h_mixed_dense(net, 0.37)
-        got = apply_mixed(net, 0.37, v).amplitudes
+        got = _apply_mixed_array(workspace_for(net), 0.37, v.amplitudes)
         want = h @ v.amplitudes
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -214,7 +204,7 @@ class TestDenseOracleEquivalence:
         b = basis_for(net)
         v = random_state(b, 5)
         want = 0.5 * (h0_dense(net) + h_dd_dense(net)) @ v.amplitudes
-        got = apply_mixed(net, 0.5, v).amplitudes
+        got = _apply_mixed_array(workspace_for(net), 0.5, v.amplitudes)
         assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])

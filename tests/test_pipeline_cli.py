@@ -182,10 +182,12 @@ class TestSimulate:
 
     def test_exact_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The exact check compares a byte estimate of the block path with
-        physical memory: 20 real d x d arrays, d = 2^(n-2) for even n.  The
-        5x2x1 lattice has 10 spins, so d = 256."""
+        physical memory: in average mode 12 real d x d arrays, d = 2^(n-2)
+        for even n, plus 12 B per state for the diagonal and each coupled
+        pair of the sparse H_0 + H_dd, plus 48 MiB.  The 5x2x1 lattice has
+        10 spins and 45 pairs, so d = 256."""
         text = SIM_SMALL.replace("2, 2, 1", "5, 2, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0")
-        need = 8 * 256 * 256 * 20
+        need = 8 * 256 * 256 * 12 + 12 * 1024 * (45 + 1) + 48 * 2**20
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -195,14 +197,29 @@ class TestSimulate:
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
         assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 1
 
+    def test_exact_capacity_counts_floquet_unitaries(self, tmp_path, monkeypatch):
+        """Floquet mode holds the one-cycle unitaries and the cycle products
+        of every block: 22 real d x d arrays for even n, 12 for odd n.  The
+        3x1x1 chain has 3 spins, 3 pairs and one block, d = 4."""
+        text = SIM_SMALL.replace("2, 2, 1", "3, 1, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
+            .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
+            .replace("geom:0.4:1.6:3", "1, 2")
+        need = 8 * 4 * 4 * 12 + 12 * 8 * (3 + 1) + 48 * 2**20
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
+        with pytest.raises(CapacityError, match="physical memory"):
+            cmd_simulate(RunConfig.parse(text), tmp_path)
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
+        assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 1
+
     def test_typicality_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The typicality check compares a byte estimate with physical
         memory: 12 B per state for the diagonal and each coupled pair of
-        the sparse H_0 + H_dd, plus krylov_dim + 1 complex Lanczos vectors.
-        The 2x2x1 lattice has 4 spins and 6 pairs."""
+        the sparse H_0 + H_dd, plus the four complex (dim, n//2 + 1) blocks
+        of the Chebyshev recurrence.  The 2x2x1 lattice has 4 spins and 6
+        pairs."""
         text = SIM_SMALL.replace("estimator.kind = exact", "estimator.kind = typicality\n"
-                                 "estimator.n_samples = 2\nnumerics.krylov_dim = 10")
-        need = 12 * 16 * (6 + 1) + 16 * 16 * (10 + 1)
+                                 "estimator.n_samples = 2")
+        need = 12 * 16 * (6 + 1) + 4 * 16 * 16 * (4 // 2 + 1)
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -483,6 +500,11 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, "run.lable = typo\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_retired_krylov_dim_key_is_unknown(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SIM_SMALL + "numerics.krylov_dim = 30\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'numerics.krylov_dim'" in capsys.readouterr().err
 
     def test_no_output_directory_anywhere(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SYNTH_FAMILY)

@@ -608,6 +608,27 @@ class TestFullAnalysis:
         assert abs(math.log(result.branch_gauge)) > 1.0
         assert result.xi[0.005] == pytest.approx(planted_xi(0.005), rel=0.05)
 
+    def test_winning_collapse_reused(self, noiseless_family, monkeypatch):
+        """The beta scan collapses once per beta and hands the winner on:
+        no second collapse at the chosen beta, and its shifts are those of
+        a fresh collapse there."""
+        import spinquench.scaling as scaling
+
+        trajs, _, _, _ = noiseless_family
+        calls = []
+
+        def counted(curves):
+            calls.append(curves)
+            return collapse(curves)
+
+        monkeypatch.setattr(scaling, "collapse", counted)
+        result = full_scaling_analysis(trajs, anchor_p=0.108, beta_grid=(0.0, 1.0, 5.70),
+                                       t_min=2.0, growth_t_min=40.0, n_bootstrap=0)
+        assert len(calls) == 3
+        growth = fit_growth_exponent(trajs[0], t_min=40.0)
+        fresh = collapse(rescale(trajs, growth, result.beta, 2.0))
+        assert result.collapse.shifts == fresh.shifts
+
     def test_too_few_curves_rejected(self):
         trajs = synth_trajectories([0.01, 0.06], t_grid=T_GRID, **PLANTED)
         with pytest.raises(InsufficientDataError, match="3 distinct"):
