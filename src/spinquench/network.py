@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import CoordinateFileError, GeometryError, PackingError
 
@@ -57,7 +56,8 @@ class SpinGeometry:
         norm = np.linalg.norm(axis)
         if abs(norm - 1.0) > 1e-12:
             raise GeometryError(f"field_axis must have unit norm, |axis| = {norm!r}")
-        if pos.shape[0] >= 2 and pdist(pos).min() <= 0.0:
+        r = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        if pos.shape[0] >= 2 and r[np.triu_indices(pos.shape[0], 1)].min() <= 0.0:
             raise GeometryError("coincident spins: all pairwise distances must be > 0")
         object.__setattr__(self, "positions", _as_readonly(pos))
         object.__setattr__(self, "field_axis", _as_readonly(axis))
@@ -118,7 +118,7 @@ def dipolar_couplings(geometry: SpinGeometry, cutoff_radius: float | None = None
     if n < 2:
         return CouplingNetwork(geometry, np.zeros((n, n)), cutoff_radius)
     rvec = pos[:, None, :] - pos[None, :, :]
-    r = squareform(pdist(pos))
+    r = np.linalg.norm(rvec, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_theta = (rvec @ geometry.field_axis) / r
         d = (1.0 - 3.0 * cos_theta**2) / r**3

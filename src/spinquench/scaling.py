@@ -32,11 +32,12 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import least_squares, minimize_scalar, nnls
 
 from .errors import CollapseError, FitError, InsufficientDataError, SaturationError
 from .mqc import ClusterTrajectory
+
+# scipy.interpolate and scipy.optimize are imported inside the functions
+# that call them: they take ~0.2 s to load, and `simulate` never needs them.
 
 #: beta values swept when no grid is given; 1 corresponds to s = nu
 DEFAULT_BETA_GRID = (6.6, 5.70, 1.0, 0.58, 0.15, 0.0, -0.39, -0.71)
@@ -287,6 +288,7 @@ def _interpolant(c: RescaledCurve):
     fn = _CURVE_INTERPOLANTS.get(c)
     if fn is None:
         if c.x.size >= 4:
+            from scipy.interpolate import CubicSpline
             fn = CubicSpline(c.x, c.y)
         else:
             fn = lambda u, x=c.x, y=c.y: np.interp(u, x, y)
@@ -345,6 +347,7 @@ def collapse(curves: list[RescaledCurve]) -> CollapseResult:
     can reconcile, therefore moves no other pair's delta;
     trimmed_residual names it afterwards.  Deterministic given the data.
     """
+    from scipy.optimize import minimize_scalar
     curves = sorted(curves, key=lambda c: c.p)
     for c in curves:
         if c.x.size < 2:
@@ -446,6 +449,7 @@ def normalize_xi(xi_raw: dict, anchor_p: float, k_loc: float) -> dict:
 
 def _xi_inner_fit(ps: np.ndarray, inv_xi: np.ndarray, p_c: float, nu: float):
     """Best (A, B) >= 0 for fixed (p_c, nu); returns (A, B, ssr in 1/xi)."""
+    from scipy.optimize import nnls
     design = np.column_stack([np.abs(ps - p_c) ** nu, np.ones_like(ps)])
     coef, rnorm = nnls(design, inv_xi)
     return coef[0], coef[1], rnorm**2
@@ -458,6 +462,7 @@ def fit_xi(xi: dict):
     exactly per start) feeds one final nonlinear refinement; standard
     errors come from the Jacobian at the solution.
     """
+    from scipy.optimize import least_squares, minimize_scalar
     ps = np.array(sorted(xi))
     if ps.size < 5:
         raise InsufficientDataError(f"xi fit needs >= 5 distinct p values, got {ps.size}")
@@ -526,6 +531,7 @@ def fit_xi_branch_gauged(xi: dict):
     Returns (fit_xi on the gauge-corrected factors, gamma, corrected xi
     map).
     """
+    from scipy.optimize import least_squares, minimize_scalar
     ps = np.array(sorted(xi))
     if ps.size < 5:
         raise InsufficientDataError(f"xi fit needs >= 5 distinct p values, got {ps.size}")

@@ -200,6 +200,35 @@ class TestKrylovStep:
         want = evolve_state_dense(h, v.amplitudes, t)
         assert np.max(np.abs(got - want)) < 1e-8
 
+    @pytest.mark.parametrize("x", [0.0, 1e-6, 0.3, 13.0, 250.0, 1000.0])
+    def test_fft_coefficients_match_bessel_series(self, x):
+        """The FFT coefficients reproduce exp(-i dt H) v on a diagonal H
+        whose eigenvalues fill the interval, forward and backward, on a
+        vector and a (dim, 3) block, and the series stops at the term the
+        Bessel coefficients (-i)^k J_k(x) give, or one term later."""
+        from scipy.special import jv
+
+        c, r, dim, tol = 0.5, 4.0, 40, 1e-10
+        lam = c + r * np.cos(np.pi * (np.arange(dim) + 0.5) / dim)
+        k = np.arange(int(x + 10.0 * x ** (1.0 / 3.0) + 20))
+        bessel = 2.0 * np.abs(jv(k, x))
+        bessel[0] /= 2.0
+        n_terms = max(1, np.count_nonzero(np.cumsum(bessel[::-1])[::-1] >= 0.01 * tol))
+        rng = np.random.default_rng(17)
+        for dt in (x / r, -x / r):
+            for shape in ((dim,), (dim, 3)):
+                v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                calls = []
+
+                def matvec(u):
+                    calls.append(1)
+                    return lam.reshape((dim,) + (1,) * (u.ndim - 1)) * u
+
+                got = expm_multiply_krylov(matvec, v, dt, spectrum=(c - r, c + r), tol=tol)
+                want = np.exp(-1j * dt * lam).reshape(v.shape[:1] + (1,) * (v.ndim - 1)) * v
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(v)
+                assert n_terms - 1 <= len(calls) <= n_terms
+
     def test_zero_spectral_width_returns_input_times_phase(self):
         """Spins beyond the cutoff radius have no couplings, so H(p) = 0:
         the interval (0, 0) has no width, and the expansion returns its

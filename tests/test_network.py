@@ -58,6 +58,27 @@ class TestCouplingValues:
         assert net.d_max == np.abs(net.couplings).max() == 2.0
 
 
+class TestDistances:
+    @pytest.mark.parametrize("geo", [
+        cubic_lattice_geometry((3, 2, 2)),
+        random_box_geometry(10, 3.0, 0.6, seed=5, field_axis=(0.6, 0.0, 0.8)),
+    ], ids=["lattice3x2x2", "random_box"])
+    def test_couplings_match_pdist_distances(self, geo):
+        """The numpy distances give the couplings that scipy's pdist
+        distances give, to 1 ulp."""
+        from scipy.spatial.distance import pdist, squareform
+
+        pos = geo.positions
+        rvec = pos[:, None, :] - pos[None, :, :]
+        r = squareform(pdist(pos))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos_theta = (rvec @ geo.field_axis) / r
+            want = (1.0 - 3.0 * cos_theta**2) / r**3
+        np.fill_diagonal(want, 0.0)
+        want = 0.5 * (want + want.T)
+        np.testing.assert_array_max_ulp(dipolar_couplings(geo).couplings, want, maxulp=1)
+
+
 class TestCouplingInvariants:
     @given(geometries(), st.floats(0.1, 2 * np.pi))
     def test_rotation_about_field_axis_preserves_couplings(self, geo, angle):
@@ -92,6 +113,19 @@ class TestGeometryValidation:
     def test_coincident_spins_rejected(self):
         with pytest.raises(GeometryError, match="coincident"):
             SpinGeometry(np.zeros((2, 3)), Z)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-200, 1e-150])
+    def test_rejects_what_pdist_calls_coincident(self, gap):
+        """Spins 1 and 3 of four are `gap` apart.  A gap whose square
+        underflows counts as coincident, as it does for scipy's pdist."""
+        from scipy.spatial.distance import pdist
+
+        pos = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [2.0, 0.0, 1.0], [1.0 + gap, 2.0, 0.5]])
+        if pdist(pos).min() <= 0.0:
+            with pytest.raises(GeometryError, match="coincident"):
+                SpinGeometry(pos, Z)
+        else:
+            assert SpinGeometry(pos, Z).n_spins == 4
 
     def test_non_unit_field_axis_rejected(self):
         with pytest.raises(GeometryError, match="unit norm"):

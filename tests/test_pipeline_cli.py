@@ -581,6 +581,27 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout.startswith("synth: 7 trajectories")
 
+    def test_simulate_loads_only_sparse_scipy(self, tmp_path):
+        """A simulate run, typicality or exact, loads no scipy subpackage
+        besides scipy.sparse: special, spatial, optimize and interpolate
+        take ~0.45 s to import, most of a short run's start-up."""
+        typ = write_cfg(tmp_path, SIM_SMALL.replace(
+            "estimator.kind = exact", "estimator.kind = typicality\nestimator.n_samples = 2"),
+            "typ.cfg")
+        exact = write_cfg(tmp_path, SIM_SMALL, "exact.cfg")
+        script = (
+            "import sys\n"
+            "from spinquench import cli\n"
+            f"for cfg in ({str(typ)!r}, {str(exact)!r}):\n"
+            f"    assert cli.main(['simulate', '--config', cfg, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('loaded=' + ','.join(m for m in ('scipy.special', 'scipy.spatial',\n"
+            "      'scipy.optimize', 'scipy.interpolate') if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "simulate: 2 written" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "loaded="
+
     def test_console_script_help(self):
         """The [project.scripts] entry resolves and prints the CLI help.
 
