@@ -17,8 +17,7 @@ from .mqc import (ClusterTrajectory, EstimatorConfig, MqcSpectrum, cluster_size,
 from .network import (CouplingNetwork, SpinGeometry, cubic_lattice_geometry,
                       dipolar_couplings, generate_geometry, load_geometry_file,
                       random_box_geometry)
-from .operators import (DensityMatrix, SpinBasis, StateVector, build_basis,
-                        coherence_order_weights,
+from .operators import (DensityMatrix, SpinBasis, build_basis, coherence_order_weights,
                         dense_hamiltonian, gaussian_state)
 from .pipeline import cmd_plot, cmd_scale, cmd_simulate, cmd_synth
 from .scaling import (BetaScan, CollapseResult, GrowthFit, RescaledCurve, ScalingResult,

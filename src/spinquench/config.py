@@ -82,7 +82,6 @@ SCHEMA = {
     "estimator.k_method": str,
     "estimator.keep_spectra": _parse_bool,
     "numerics.tol": float,
-    "numerics.max_dense_spins": int,
     "synth.p_list": _parse_float_list,
     "synth.p_c": float,
     "synth.nu": float,

@@ -329,25 +329,32 @@ def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol):
                 w += blk.weights(vl @ (wb * ph.real) @ vr.T, vl @ (wb * ph.imag) @ vr.T)
             yield float(t), w
     else:
-        def unitaries(blk, p, tau):
-            out = []
-            for h in blk.hamiltonians(network, p):
-                e, v = np.linalg.eigh(h)
-                out.append((v * np.exp(-1j * e * tau)) @ v.T)
-            return out
+        def unitary(h, tau):
+            e, v = np.linalg.eigh(h)
+            return (v * np.exp(-1j * e * tau)) @ v.T
 
-        cycles = []
-        for blk in blocks:
-            us = [u1 @ u0 for u0, u1 in zip(unitaries(blk, 0.0, pr.tau_0),
-                                            unitaries(blk, 1.0, pr.tau_dd))]
-            cycles.append((blk, us[0], us[-1].conj().T))
+        def cycle(blk):
+            """(u+, u-^dag) of the one-cycle unitaries u = exp(-i tau_dd H1)
+            exp(-i tau_0 H0) of the two halves, or (u, u^dag) for odd n.
+
+            One half at a time, each Hamiltonian dropped once diagonalized,
+            so the set-up stays within the cycle loop's peak."""
+            h0s, h1s = blk.hamiltonians(network, 0.0), blk.hamiltonians(network, 1.0)
+            us = []
+            while h0s:
+                us.append(unitary(h1s.pop(0), pr.tau_dd) @ unitary(h0s.pop(0), pr.tau_0))
+            return us[0], us[-1].conj().T
+
+        cycles = [(blk, *cycle(blk)) for blk in blocks]
         xs = [np.diag(blk.mz).astype(np.complex128) for blk in blocks]
         done = 0
         for count in pr.time_grid:
             for _ in range(int(round(count)) - done):
-                xs = [ul @ x @ ur_dag for (_, ul, ur_dag), x in zip(cycles, xs)]
+                # one block at a time, so only one old X outlives its update
+                for i, (_, ul, ur_dag) in enumerate(cycles):
+                    xs[i] = ul @ xs[i] @ ur_dag
             done = int(round(count))
             w = np.zeros(2 * n + 1)
-            for (blk, _, _), x in zip(cycles, xs):
-                w += blk.weights(x.real, x.imag)
+            for i, (blk, _, _) in enumerate(cycles):
+                w += blk.weights(xs[i].real, xs[i].imag)
             yield float(count) * (pr.tau_0 + pr.tau_dd), w

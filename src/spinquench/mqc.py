@@ -192,7 +192,7 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
     per_sample = np.zeros((n_samples, n_t, 2 * n + 1))
     for s_i in range(n_samples):
         seed = estimator.base_seed + s_i
-        r = gaussian_state(basis, seed).amplitudes
+        r = gaussian_state(basis, seed)
         block = np.where(in_sector, r[:, None], 0.0)
         acc = per_sample[s_i]
         for j in range(n_t):

@@ -20,9 +20,9 @@ from .errors import CoordinateFileError, GeometryError, PackingError
 
 DEFAULT_FIELD_AXIS = (0.0, 0.0, 1.0)
 
-#: Hard cap on generated system sizes; 2^24 basis states is the largest
-#: bookkeeping the basis module will attempt.
-MAX_GENERATED_SPINS = 24
+#: Hard cap on system sizes; 2^24 basis states is the largest bookkeeping
+#: the basis module will attempt.
+MAX_SPINS = 24
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -52,7 +52,12 @@ class SpinGeometry:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise GeometryError(f"positions must be (n, 3), got {pos.shape}")
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if bad.size:
+            raise GeometryError(f"positions must be finite, spin {bad[0]} is at {pos[bad[0]].tolist()}")
         axis = np.asarray(self.field_axis, dtype=float).reshape(3)
+        if not np.all(np.isfinite(axis)):
+            raise GeometryError(f"field_axis must be finite, got {axis.tolist()}")
         norm = np.linalg.norm(axis)
         if abs(norm - 1.0) > 1e-12:
             raise GeometryError(f"field_axis must have unit norm, |axis| = {norm!r}")
@@ -135,15 +140,14 @@ def cubic_lattice_geometry(
     field_axis=DEFAULT_FIELD_AXIS,
     label: str = "",
     seed: int = 0,
-    max_spins: int = MAX_GENERATED_SPINS,
 ) -> SpinGeometry:
     """Simple cubic lattice of shape (n_x, n_y, n_z) with the given spacing."""
     nx, ny, nz = (int(v) for v in shape)
     if min(nx, ny, nz) < 1:
         raise GeometryError(f"lattice shape must be positive, got {shape}")
     n = nx * ny * nz
-    if n > max_spins:
-        raise GeometryError(f"lattice with {n} spins exceeds the cap of {max_spins}")
+    if n > MAX_SPINS:
+        raise GeometryError(f"lattice with {n} spins exceeds the cap of {MAX_SPINS}")
     if spacing <= 0:
         raise GeometryError("lattice spacing must be > 0")
     grid = np.mgrid[0:nx, 0:ny, 0:nz].reshape(3, -1).T * float(spacing)
@@ -158,7 +162,6 @@ def random_box_geometry(
     seed: int,
     field_axis=DEFAULT_FIELD_AXIS,
     label: str = "",
-    max_spins: int = MAX_GENERATED_SPINS,
     max_attempts_per_spin: int = 500,
 ) -> SpinGeometry:
     """Uniform random positions in a box, resampled until all pairs are
@@ -167,8 +170,8 @@ def random_box_geometry(
     Raises PackingError once the per-spin attempt budget runs out, which
     signals an infeasible (too dense) packing request.
     """
-    if n < 1 or n > max_spins:
-        raise GeometryError(f"n must be in [1, {max_spins}], got {n}")
+    if n < 1 or n > MAX_SPINS:
+        raise GeometryError(f"n must be in [1, {MAX_SPINS}], got {n}")
     if min_separation <= 0:
         raise GeometryError("min_separation must be > 0")
     lengths = np.broadcast_to(np.asarray(box, dtype=float), (3,))
@@ -196,7 +199,6 @@ def load_geometry_file(
     path,
     field_axis=DEFAULT_FIELD_AXIS,
     label: str = "",
-    max_spins: int = MAX_GENERATED_SPINS,
 ) -> SpinGeometry:
     """Read a plain-text coordinate file: one spin per line, three
     whitespace-separated decimals, ``#`` starts a comment."""
@@ -219,8 +221,8 @@ def load_geometry_file(
             raise CoordinateFileError(path, lineno, f"not a decimal number: {exc}") from exc
     if not rows:
         raise CoordinateFileError(path, len(lines), "no coordinates in file")
-    if len(rows) > max_spins:
-        raise CoordinateFileError(path, len(lines), f"{len(rows)} spins exceeds the cap of {max_spins}")
+    if len(rows) > MAX_SPINS:
+        raise CoordinateFileError(path, len(lines), f"{len(rows)} spins exceeds the cap of {MAX_SPINS}")
     label = label or f"file_{len(rows)}spins"
     return SpinGeometry(np.asarray(rows), np.asarray(field_axis, float), label, 0)
 

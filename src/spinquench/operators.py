@@ -23,15 +23,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from scipy import sparse
 
 from .errors import CapacityError
-from .network import CouplingNetwork
-
-MAX_SPINS = 24
+from .network import MAX_SPINS, CouplingNetwork
 
 _WORKSPACES: "weakref.WeakKeyDictionary[CouplingNetwork, _Workspace]" = weakref.WeakKeyDictionary()
 
@@ -40,8 +37,8 @@ _WORKSPACES: "weakref.WeakKeyDictionary[CouplingNetwork, _Workspace]" = weakref.
 class SpinBasis:
     """Zeeman product basis with M_z bookkeeping.
 
-    mz_of[s] is the magnetic quantum number of basis state s; sector_index
-    groups states by n_up (equivalently by M_z = n_up - n/2).
+    mz_of[s] is the magnetic quantum number of basis state s; the M_z
+    sector with k spins up is the mask n_up == k.
     """
 
     n_spins: int
@@ -50,76 +47,34 @@ class SpinBasis:
     n_up: np.ndarray
     mz_of: np.ndarray
     parity: np.ndarray
-    sector_index: tuple
-
-    def sector(self, n_up: int) -> np.ndarray:
-        return self.sector_index[n_up]
-
-    def parity_indices(self):
-        even = self.states[self.parity == 0]
-        odd = self.states[self.parity == 1]
-        return even, odd
 
 
-def build_basis(n_spins: int, max_spins: int = MAX_SPINS) -> SpinBasis:
+def build_basis(n_spins: int) -> SpinBasis:
     """Enumerate the 2^n product basis with sector bookkeeping.
 
     The cap exists because every array here is dimension-long; past ~20
     spins the bookkeeping alone dominates memory.
     """
-    if not 1 <= n_spins <= max_spins:
-        raise CapacityError(f"n_spins must be in [1, {max_spins}], got {n_spins}")
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise CapacityError(f"n_spins must be in [1, {MAX_SPINS}], got {n_spins}")
     dim = 1 << n_spins
     states = np.arange(dim, dtype=np.intp)
     n_up = np.bitwise_count(states).astype(np.uint8)
     mz = n_up.astype(np.float64) - 0.5 * n_spins
     parity = (n_up & 1).astype(np.uint8)
-    sectors = []
-    for k in range(n_spins + 1):
-        idx = states[n_up == k]
-        assert idx.size == comb(n_spins, k)
-        idx.flags.writeable = False
-        sectors.append(idx)
     for a in (states, n_up, mz, parity):
         a.flags.writeable = False
-    return SpinBasis(n_spins, dim, states, n_up, mz, parity, tuple(sectors))
+    return SpinBasis(n_spins, dim, states, n_up, mz, parity)
 
 
-@dataclass(eq=False)
-class StateVector:
-    """Complex amplitudes over a SpinBasis."""
-
-    basis: SpinBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (self.basis.dimension,):
-            raise ValueError(f"amplitudes must have shape ({self.basis.dimension},), got {amp.shape}")
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise ValueError("non-finite amplitudes")
-        self.amplitudes = amp
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes.copy())
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def gaussian_state(basis: SpinBasis, seed) -> StateVector:
+def gaussian_state(basis: SpinBasis, seed) -> np.ndarray:
     """Unnormalized complex Gaussian vector with E[v v†] = identity.
 
     The identity-covariance convention makes <v|M|v> an unbiased
     estimator of Tr M, which the typicality spectra rely on.
     """
     rng = np.random.default_rng(seed)
-    amp = (rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)) / np.sqrt(2.0)
-    return StateVector(basis, amp)
+    return (rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)) / np.sqrt(2.0)
 
 
 def _assert_hermitian(m: np.ndarray, tol: float):
@@ -206,10 +161,6 @@ def workspace_for(network: CouplingNetwork) -> _Workspace:
     return ws
 
 
-def basis_for(network: CouplingNetwork) -> SpinBasis:
-    return workspace_for(network).basis
-
-
 def _product(h, v: np.ndarray) -> np.ndarray:
     """h @ v for a real CSR h; complex v goes through its float64 view
     (dim, 2k), which spares scipy a complex copy of h per call."""
@@ -252,11 +203,10 @@ def coherence_order_weights(rho: np.ndarray, basis: SpinBasis) -> np.ndarray:
     equals Tr[rho rho†] = sum |rho_rc|^2.
     """
     n = basis.n_spins
+    sectors = [basis.n_up == k for k in range(n + 1)]
     weights = np.zeros(2 * n + 1)
-    for r_up in range(n + 1):
-        ri = basis.sector_index[r_up]
-        for c_up in range(n + 1):
-            ci = basis.sector_index[c_up]
+    for r_up, ri in enumerate(sectors):
+        for c_up, ci in enumerate(sectors):
             block = rho[np.ix_(ri, ci)]
             weights[n + (r_up - c_up)] += float(np.sum(block.real**2 + block.imag**2))
     return weights

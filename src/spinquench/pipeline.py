@@ -62,10 +62,9 @@ def _capacity_check(config: RunConfig, network):
     # state for the diagonal and for every coupled pair
     sparse_h = 12 * dim * (n_pairs + 1)
     if kind == "exact":
-        cap = min(MAX_DENSE_SPINS, config.get("numerics.max_dense_spins", MAX_DENSE_SPINS))
-        if n_spins > cap:
+        if n_spins > MAX_DENSE_SPINS:
             raise CapacityError(
-                f"exact estimator capped at {cap} spins, geometry has {n_spins}; "
+                f"exact estimator capped at {MAX_DENSE_SPINS} spins, geometry has {n_spins}; "
                 "use estimator.kind = typicality or a smaller geometry")
         # real d x d arrays alive together at the peak of the block path,
         # d = 2^(n-2) for even n (two parity blocks of +- halves), 2^(n-1)
@@ -75,17 +74,16 @@ def _capacity_check(config: RunConfig, network):
         #     the second block's set-up stays below, 10 = the first block's
         #     V+, V-, W 3, H+ and H- 2, V+ 1, eigh's copy, work and output 4
         #   average, odd: 8 = V and W 2, phases 2, X 2, temporaries 2
-        #   floquet, even: a cycle, 22 = both blocks' one-cycle unitaries 8
-        #     and the last set-up's spare 2, the old X of both blocks and
-        #     the loop's reference to one 6, a new X, a product and its
-        #     temporary 6
-        #   floquet, odd: 12 = the unitary and its adjoint 4, old X and the
-        #     loop's reference 4, a product and its temporary 4
+        #   floquet, even: 16 = both blocks' u+ and u-^dag 8, the X of both
+        #     blocks 4, and in a cycle step the product u+ X and the new X 4
+        #     (a grid time's weight temporaries and the second block's
+        #     set-up, one half at a time, stay at or below this)
+        #   floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4
         # plus H_0 and H_dd, and 48 MiB for BLAS buffers and freed arrays
         # the allocator keeps (6-32 MiB measured at n = 10-14)
         d = 1 << (n_spins - 2 + n_spins % 2)
         floquet = config.get("protocol.mode", "average") == "floquet"
-        arrays = ((22, 12) if floquet else (12, 8))[n_spins % 2]
+        arrays = ((16, 10) if floquet else (12, 8))[n_spins % 2]
         need = 8 * d * d * arrays + sparse_h + 48 * 2**20
         what = "the exact estimator"
     else:

@@ -237,8 +237,3 @@ def plot_spectrum_heatmap(traj) -> str:
     parts.append(f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">coherence order</text>')
     return _document(parts, f"coherence spectrum, p = {traj.p:g}")
-
-
-def write_svg(path, svg: str):
-    from .io import atomic_write_text
-    atomic_write_text(path, svg)

@@ -148,7 +148,6 @@ class XiFit:
     p_c: float
     std_err: dict
     residual: float
-    scan: tuple
 
     def model(self, p) -> np.ndarray:
         delta = np.abs(np.asarray(p, dtype=float) - self.p_c)
@@ -161,7 +160,6 @@ class BetaScan:
 
     best_beta: float
     residuals: dict
-    full_residuals: dict
     best: CollapseResult
 
 
@@ -503,7 +501,7 @@ def fit_xi(xi: dict):
                 se = np.zeros(4)
             std = {"A": float(se[0]), "B": float(se[1]), "nu": float(se[2]), "p_c": float(se[3])}
             return XiFit(A=float(a), B=float(b), nu=float(nu), p_c=float(pc), std_err=std,
-                         residual=float(np.sqrt(2.0 * res.cost / ps.size)), scan=tuple(scan))
+                         residual=float(np.sqrt(2.0 * res.cost / ps.size)))
     landscape = "; ".join(f"p_c={r[0]:.4g} nu={r[1]:.3g} ssr={r[4]:.3g}" for r in scan[:8])
     raise FitError(f"xi fit failed from all starts ({last_exc}); residual landscape: {landscape}")
 
@@ -578,12 +576,12 @@ def fit_xi_branch_gauged(xi: dict):
     return fit_xi(corrected), gamma, corrected
 
 
-def bootstrap_fit_xi(xi: dict, n_resamples: int = 100, seed: int = 0) -> dict:
-    """Residual bootstrap (multiplicative residuals) around the base fit.
+def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 0) -> dict:
+    """Residual bootstrap (multiplicative residuals) around base, the
+    fit_xi of xi.
 
     Returns parameter sample arrays plus std and central 95% intervals.
     """
-    base = fit_xi(xi)
     ps = np.array(sorted(xi))
     vals = np.array([xi[p] for p in ps])
     fitted = base.model(ps)
@@ -622,7 +620,6 @@ def beta_scan(trajs: list[ClusterTrajectory], growth: GrowthFit,
     if beta_grid is None:
         beta_grid = DEFAULT_BETA_GRID
     residuals = {}
-    full_residuals = {}
     results = {}
     failures = {}
     for beta in beta_grid:
@@ -631,17 +628,14 @@ def beta_scan(trajs: list[ClusterTrajectory], growth: GrowthFit,
             result = collapse(curves)
             results[float(beta)] = result
             residuals[float(beta)] = result.trimmed_residual()
-            full_residuals[float(beta)] = result.residual
         except (CollapseError, ValueError) as exc:
             residuals[float(beta)] = float("inf")
-            full_residuals[float(beta)] = float("inf")
             failures[float(beta)] = str(exc)
     finite = {b: r for b, r in residuals.items() if np.isfinite(r)}
     if not finite:
         raise CollapseError(f"collapse failed for every beta in the grid: {failures}")
     best = min(finite, key=finite.get)
-    return BetaScan(best_beta=best, residuals=residuals, full_residuals=full_residuals,
-                    best=results[best])
+    return BetaScan(best_beta=best, residuals=residuals, best=results[best])
 
 
 def _soft_log_branch(z: np.ndarray) -> np.ndarray:
@@ -728,7 +722,7 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
         fit, gauge, xi_fitted = fit_xi_branch_gauged(xi)
     except (FitError, InsufficientDataError):
         fit, gauge, xi_fitted = fit_xi(xi), 1.0, xi
-    boot = (bootstrap_fit_xi(xi_fitted, n_resamples=n_bootstrap, seed=bootstrap_seed)
+    boot = (bootstrap_fit_xi(xi_fitted, fit, n_resamples=n_bootstrap, seed=bootstrap_seed)
             if n_bootstrap > 0 else None)
     s_val = scan.best_beta * fit.nu
     return ScalingResult(

@@ -1,12 +1,15 @@
 """Config parsing/digest semantics and on-disk formats."""
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinquench.config import RunConfig
+import spinquench
+from spinquench.config import SCHEMA, RunConfig
 from spinquench.errors import ConfigError
 from spinquench.io import (
     format_trajectory,
@@ -68,6 +71,22 @@ class TestConfigParsing:
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             RunConfig.load(tmp_path / "absent.cfg")
+
+    def test_every_schema_key_is_read(self):
+        """Each key is passed as a literal to some call (get, require, ...)
+        or is a parameter default in the package sources, so no settable
+        option goes unread."""
+        read = set()
+        for path in Path(spinquench.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    values = node.args + [kw.value for kw in node.keywords]
+                elif isinstance(node, ast.arguments):
+                    values = node.defaults + node.kw_defaults
+                else:
+                    continue
+                read.update(v.value for v in values if isinstance(v, ast.Constant))
+        assert sorted(set(SCHEMA) - read) == []
 
     def test_load_matches_parse(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -13,7 +13,7 @@ from spinquench.evolution import (
 )
 from spinquench.mqc import mqc_exact
 from spinquench.network import SpinGeometry, dipolar_couplings
-from spinquench.operators import StateVector, basis_for, gaussian_state
+from spinquench.operators import gaussian_state, workspace_for
 
 from oracles import (basis_vector, evolve_rho_dense, evolve_state_dense, floquet_cycle_dense,
                      h_mixed_dense, iz_total_dense, mqc_weights_dense)
@@ -33,21 +33,21 @@ def jittered_network(n, seed):
     return dipolar_couplings(SpinGeometry(pos, Z))
 
 
-def unit_state(basis, seed):
-    v = gaussian_state(basis, seed)
-    return StateVector(basis, v.amplitudes / v.norm)
+def unit_state(net, seed):
+    v = gaussian_state(workspace_for(net).basis, seed)
+    return v / np.linalg.norm(v)
 
 
 def evolve(net, p, t, v, tol=1e-10):
     """exp(-i H(p) t) v through a one-point average-mode Propagator."""
     prop = Propagator(net, QuenchProtocol.average(p, [t], tol=tol))
-    return StateVector(v.basis, prop.span_forward(v.amplitudes, 0))
+    return prop.span_forward(v, 0)
 
 
 def evolve_cycles(net, p, tau_c, n_cycles, v):
     """n_cycles Floquet cycles of length tau_c through a Propagator."""
     prop = Propagator(net, QuenchProtocol.floquet(p, tau_c, [n_cycles], tol=1e-12))
-    return StateVector(v.basis, prop.span_forward(v.amplitudes, 0))
+    return prop.span_forward(v, 0)
 
 
 class TestProtocolValidation:
@@ -92,9 +92,9 @@ class TestProtocolValidation:
 class TestPropagateAverage:
     def test_zero_time_is_identity(self):
         net = chain_network(4)
-        v = unit_state(basis_for(net), 0)
+        v = unit_state(net, 0)
         out = evolve(net, 0.3, 0.0, v)
-        assert np.array_equal(out.amplitudes, v.amplitudes)
+        assert np.array_equal(out, v)
 
     @pytest.mark.parametrize("dt", [0.3, 0.9, 2.0])
     def test_two_spin_quench_closed_form_amplitude(self, dt):
@@ -103,65 +103,63 @@ class TestPropagateAverage:
         geo = SpinGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), Z)
         net = dipolar_couplings(geo)
         d = net.couplings[0, 1]
-        b = basis_for(net)
-        out = evolve(net, 0.0, dt, StateVector(b, basis_vector(2, 0b00)), tol=1e-12)
-        assert_allclose(out.amplitudes[0b11], 1j * np.sin(d * dt / 2), atol=1e-11)
-        assert_allclose(out.amplitudes[0b00], np.cos(d * dt / 2), atol=1e-11)
+        out = evolve(net, 0.0, dt, basis_vector(2, 0b00), tol=1e-12)
+        assert_allclose(out[0b11], 1j * np.sin(d * dt / 2), atol=1e-11)
+        assert_allclose(out[0b00], np.cos(d * dt / 2), atol=1e-11)
 
     @given(st.floats(0.0, 1.0), st.floats(0.1, 3.0))
     def test_matches_dense_exponential_n6(self, p, t):
         net = jittered_network(6, 17)
-        b = basis_for(net)
-        v = unit_state(b, 2)
-        got = evolve(net, p, t, v, tol=1e-10).amplitudes
-        want = evolve_state_dense(h_mixed_dense(net, p), v.amplitudes, t)
+        v = unit_state(net, 2)
+        got = evolve(net, p, t, v, tol=1e-10)
+        want = evolve_state_dense(h_mixed_dense(net, p), v, t)
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_norm_preserved_to_solver_tolerance(self):
         net = jittered_network(8, 23)
-        v = unit_state(basis_for(net), 4)
+        v = unit_state(net, 4)
         tol = 1e-10
         out = evolve(net, 0.35, 5.0, v, tol=tol)
-        assert abs(out.norm - 1.0) <= 10 * tol
+        assert abs(np.linalg.norm(out) - 1.0) <= 10 * tol
 
     def test_backward_after_forward_restores_input(self):
         net = jittered_network(7, 29)
-        v = unit_state(basis_for(net), 6)
+        v = unit_state(net, 6)
         tol = 1e-10
         prop = Propagator(net, QuenchProtocol.average(0.6, [3.0], tol=tol))
-        fwd = prop.step_forward(v.amplitudes, 0)
+        fwd = prop.step_forward(v, 0)
         back = prop.step_backward(fwd, 0)
-        fidelity = abs(np.vdot(v.amplitudes, back))
+        fidelity = abs(np.vdot(v, back))
         assert fidelity >= 1.0 - 100 * tol
 
 
 class TestPropagateFloquet:
     def test_zero_dipolar_leg_reduces_to_pure_quench(self):
         net = chain_network(5)
-        v = unit_state(basis_for(net), 8)
+        v = unit_state(net, 8)
         cycles = evolve_cycles(net, 0.0, 0.5, 4, v)
         direct = evolve(net, 0.0, 2.0, v, tol=1e-12)
-        assert np.max(np.abs(cycles.amplitudes - direct.amplitudes)) < 1e-10
+        assert np.max(np.abs(cycles - direct)) < 1e-10
 
     def test_zero_quench_leg_reduces_to_pure_dipolar(self):
         net = chain_network(5)
-        v = unit_state(basis_for(net), 9)
+        v = unit_state(net, 9)
         cycles = evolve_cycles(net, 1.0, 0.5, 4, v)
         direct = evolve(net, 1.0, 2.0, v, tol=1e-12)
-        assert np.max(np.abs(cycles.amplitudes - direct.amplitudes)) < 1e-10
+        assert np.max(np.abs(cycles - direct)) < 1e-10
 
     def test_first_order_convergence_to_average_hamiltonian(self):
         """Halving the cycle time halves the deviation from the effective
         Hamiltonian evolution (Trotter first order in tau_c)."""
         net = jittered_network(6, 31)
-        v = unit_state(basis_for(net), 10)
+        v = unit_state(net, 10)
         p, t_total = 0.4, 2.0
         ref = evolve(net, p, t_total, v, tol=1e-12)
         errs = []
         for n_cyc in (10, 20, 40):
             tau_c = t_total / n_cyc
             got = evolve_cycles(net, p, tau_c, n_cyc, v)
-            errs.append(np.max(np.abs(got.amplitudes - ref.amplitudes)))
+            errs.append(np.max(np.abs(got - ref)))
         assert errs[0] > errs[1] > errs[2]
         for a, b in zip(errs, errs[1:]):
             assert 1.6 < a / b < 2.6
@@ -180,8 +178,7 @@ class TestKrylovStep:
         """Each column of a (dim, 3) block comes out as that column
         propagated alone, in average and Floquet mode."""
         net = jittered_network(6, 37)
-        b = basis_for(net)
-        block = np.stack([unit_state(b, s).amplitudes for s in (3, 4, 5)], axis=1)
+        block = np.stack([unit_state(net, s) for s in (3, 4, 5)], axis=1)
         for prot in (QuenchProtocol.average(0.45, [0.7, 2.9]),
                      QuenchProtocol.floquet(0.3, 0.4, [3, 7])):
             prop = Propagator(net, prot)
@@ -193,11 +190,11 @@ class TestKrylovStep:
     def test_long_span_matches_dense_oracle(self):
         """One expansion over a long span, ||H|| t = 250."""
         net = jittered_network(8, 53)
-        v = unit_state(basis_for(net), 15)
+        v = unit_state(net, 15)
         h = h_mixed_dense(net, 0.6)
         t = 250.0 / np.linalg.norm(h, 2)
-        got = evolve(net, 0.6, t, v).amplitudes
-        want = evolve_state_dense(h, v.amplitudes, t)
+        got = evolve(net, 0.6, t, v)
+        want = evolve_state_dense(h, v, t)
         assert np.max(np.abs(got - want)) < 1e-8
 
     @pytest.mark.parametrize("x", [0.0, 1e-6, 0.3, 13.0, 250.0, 1000.0])
@@ -235,7 +232,7 @@ class TestKrylovStep:
         input times the phase exp(-i c dt) = 1 without a single matvec."""
         pos = np.arange(3)[:, None] * [5.0, 0.0, 0.0]
         net = dipolar_couplings(SpinGeometry(pos, Z), cutoff_radius=1.0)
-        v = unit_state(basis_for(net), 16).amplitudes
+        v = unit_state(net, 16)
 
         def matvec(x):
             raise AssertionError("no matvec expected")
@@ -244,14 +241,13 @@ class TestKrylovStep:
         c = 0.8
         assert_allclose(expm_multiply_krylov(matvec, v, 3.0, spectrum=(c, c)),
                         np.exp(-3j * c) * v, rtol=0, atol=1e-15)
-        assert np.array_equal(evolve(net, 0.4, 3.0, StateVector(basis_for(net), v)).amplitudes, v)
+        assert np.array_equal(evolve(net, 0.4, 3.0, v), v)
 
     def test_propagator_span_equals_stepping(self):
         net = jittered_network(5, 41)
-        b = basis_for(net)
         prot = QuenchProtocol.average(0.3, [0.5, 1.1, 2.3], tol=1e-12)
         prop = Propagator(net, prot)
-        v = unit_state(b, 12).amplitudes
+        v = unit_state(net, 12)
         stepped = v
         for i in range(3):
             stepped = prop.step_forward(stepped, i)
@@ -262,7 +258,7 @@ class TestKrylovStep:
         net = jittered_network(5, 43)
         prot = QuenchProtocol.floquet(0.5, 0.4, [2, 5], tol=1e-12)
         prop = Propagator(net, prot)
-        v = unit_state(basis_for(net), 14).amplitudes
+        v = unit_state(net, 14)
         fwd = prop.step_forward(v, 1)
         back = prop.step_backward(fwd, 1)
         assert abs(np.vdot(v, back)) >= 1.0 - 1e-9

@@ -127,6 +127,16 @@ class TestGeometryValidation:
         else:
             assert SpinGeometry(pos, Z).n_spins == 4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        pos = np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(GeometryError, match="positions must be finite, spin 1"):
+            SpinGeometry(pos, Z)
+
+    def test_nan_field_axis_rejected(self):
+        with pytest.raises(GeometryError, match="field_axis must be finite"):
+            SpinGeometry(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([0.0, np.nan, 1.0]))
+
     def test_non_unit_field_axis_rejected(self):
         with pytest.raises(GeometryError, match="unit norm"):
             SpinGeometry(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([0.0, 0.0, 2.0]))

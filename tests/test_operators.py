@@ -8,9 +8,7 @@ from spinquench.mqc import mqc_exact
 from spinquench.network import SpinGeometry, dipolar_couplings
 from spinquench.operators import (
     DensityMatrix,
-    StateVector,
     _apply_mixed_array,
-    basis_for,
     build_basis,
     coherence_order_weights,
     dense_hamiltonian,
@@ -48,7 +46,7 @@ def random_network(n, seed):
 def random_state(basis, seed):
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
-    return StateVector(basis, amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
 
 
 class TestBasis:
@@ -60,8 +58,7 @@ class TestBasis:
     @pytest.mark.parametrize("n,sizes", [(2, [1, 2, 1]), (4, [1, 4, 6, 4, 1])])
     def test_sector_sizes_are_binomials(self, n, sizes):
         b = build_basis(n)
-        assert [b.sector(k).size for k in range(n + 1)] == sizes
-        assert sum(b.sector(k).size for k in range(n + 1)) == b.dimension
+        assert [np.count_nonzero(b.n_up == k) for k in range(n + 1)] == sizes
 
     def test_mz_matches_popcount(self):
         b = build_basis(5)
@@ -76,27 +73,21 @@ class TestBasis:
 
     def test_parity_sectors_partition_basis(self):
         b = build_basis(4)
-        even, odd = b.parity_indices()
+        even, odd = b.states[b.parity == 0], b.states[b.parity == 1]
         assert even.size + odd.size == b.dimension
         assert all(bin(s).count("1") % 2 == 0 for s in even)
         assert all(bin(s).count("1") % 2 == 1 for s in odd)
 
 
 class TestStateAndDensity:
-    def test_state_vector_shape_and_finiteness_checked(self):
-        b = build_basis(2)
-        with pytest.raises(ValueError, match="shape"):
-            StateVector(b, np.zeros(3))
-        with pytest.raises(ValueError, match="non-finite"):
-            StateVector(b, np.array([np.nan, 0, 0, 0]))
-
     def test_gaussian_state_deterministic_and_isotropic(self):
         b = build_basis(6)
         v1 = gaussian_state(b, 11)
         v2 = gaussian_state(b, 11)
-        assert np.array_equal(v1.amplitudes, v2.amplitudes)
+        assert v1.shape == (b.dimension,)
+        assert np.array_equal(v1, v2)
         # E |v_i|^2 = 1 per component under the trace-estimator convention
-        assert abs(v1.norm**2 / b.dimension - 1.0) < 0.5
+        assert abs(np.linalg.norm(v1) ** 2 / b.dimension - 1.0) < 0.5
 
     def test_density_matrix_rejects_non_hermitian(self):
         b = build_basis(2)
@@ -140,15 +131,13 @@ class TestPairActions:
     @given(st.integers(0, 50))
     def test_hdd_preserves_mz_sector_bitwise(self, seed):
         net = random_network(6, 3)
-        b = basis_for(net)
-        v = random_state(b, seed)
         ws = workspace_for(net)
-        out = _apply_mixed_array(ws, 1.0, v.amplitudes)
+        b = ws.basis
+        v = random_state(b, seed)
+        out = _apply_mixed_array(ws, 1.0, v)
         for k in range(7):
-            idx = b.sector(k)
-            mask = np.zeros(b.dimension, bool)
-            mask[idx] = True
-            probe = v.amplitudes * mask
+            mask = b.n_up == k
+            probe = v * mask
             got = _apply_mixed_array(ws, 1.0, probe)
             assert np.all(got[~mask] == 0)
         assert out.shape == (64,)
@@ -156,35 +145,28 @@ class TestPairActions:
     @given(st.integers(0, 50))
     def test_h0_connects_only_plus_minus_two(self, seed):
         net = random_network(6, 3)
-        b = basis_for(net)
+        b = workspace_for(net).basis
         v = random_state(b, seed)
         for k in range(7):
-            idx = b.sector(k)
-            mask = np.zeros(b.dimension, bool)
-            mask[idx] = True
-            got = _apply_mixed_array(workspace_for(net), 0.0, v.amplitudes * mask)
-            allowed = np.zeros(b.dimension, bool)
-            for kk in (k - 2, k + 2):
-                if 0 <= kk <= 6:
-                    allowed[b.sector(kk)] = True
+            got = _apply_mixed_array(workspace_for(net), 0.0, v * (b.n_up == k))
+            allowed = (b.n_up == k - 2) | (b.n_up == k + 2)
             assert np.all(got[~allowed] == 0)
 
     def test_mixed_endpoints_match_components(self):
         net = random_network(5, 4)
         ws = workspace_for(net)
-        v = random_state(ws.basis, 0).amplitudes
+        v = random_state(ws.basis, 0)
         assert np.array_equal(_apply_mixed_array(ws, 1.0, v), ws.hdd @ v)
         assert np.array_equal(_apply_mixed_array(ws, 0.0, v), ws.h0 @ v)
 
     @given(st.integers(0, 30), st.floats(0.0, 1.0))
     def test_hermiticity_of_mixed_action(self, seed, p):
         net = random_network(5, 6)
-        b = basis_for(net)
-        u = random_state(b, seed)
-        v = random_state(b, seed + 1000)
         ws = workspace_for(net)
-        huv = np.vdot(u.amplitudes, _apply_mixed_array(ws, p, v.amplitudes))
-        hvu = np.vdot(v.amplitudes, _apply_mixed_array(ws, p, u.amplitudes))
+        u = random_state(ws.basis, seed)
+        v = random_state(ws.basis, seed + 1000)
+        huv = np.vdot(u, _apply_mixed_array(ws, p, v))
+        hvu = np.vdot(v, _apply_mixed_array(ws, p, u))
         assert abs(huv - np.conj(hvu)) < 1e-12
 
 
@@ -192,19 +174,19 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_matrix_free_matches_kron_oracle(self, n):
         net = random_network(n, n)
-        b = basis_for(net)
-        v = random_state(b, 99)
+        ws = workspace_for(net)
+        v = random_state(ws.basis, 99)
         h = h_mixed_dense(net, 0.37)
-        got = _apply_mixed_array(workspace_for(net), 0.37, v.amplitudes)
-        want = h @ v.amplitudes
+        got = _apply_mixed_array(ws, 0.37, v)
+        want = h @ v
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_half_mixture_at_four_spins(self):
         net = random_network(4, 12)
-        b = basis_for(net)
-        v = random_state(b, 5)
-        want = 0.5 * (h0_dense(net) + h_dd_dense(net)) @ v.amplitudes
-        got = _apply_mixed_array(workspace_for(net), 0.5, v.amplitudes)
+        ws = workspace_for(net)
+        v = random_state(ws.basis, 5)
+        want = 0.5 * (h0_dense(net) + h_dd_dense(net)) @ v
+        got = _apply_mixed_array(ws, 0.5, v)
         assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
@@ -243,8 +225,8 @@ class TestDenseOracleEquivalence:
 
     def test_dense_hamiltonian_parity_restriction(self):
         net = random_network(4, 8)
-        b = basis_for(net)
-        even, odd = b.parity_indices()
+        b = workspace_for(net).basis
+        even, odd = b.states[b.parity == 0], b.states[b.parity == 1]
         h = h_mixed_dense(net, 0.3).real
         assert_allclose(dense_hamiltonian(net, 0.3, even), h[np.ix_(even, even)], atol=1e-12)
         # parity sectors are closed: no matrix elements between them
@@ -273,7 +255,7 @@ class TestCoherenceDecomposition:
         net = two_spin_network(d=-2.0)
         d = abs(net.couplings[0, 1])
         t = t_frac * np.pi / (2 * d)
-        b = basis_for(net)
+        b = workspace_for(net).basis
         rho_t = evolve_rho_dense(h0_dense(net), iz_total_dense(2), t)
         spec = mqc_exact(coherence_order_weights(rho_t, b))
         assert_allclose(spec.weight(0), np.cos(d * t) ** 2, atol=1e-12)

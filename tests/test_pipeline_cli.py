@@ -175,8 +175,8 @@ class TestSimulate:
         assert np.all(k0[3:] >= k5[3:] - 1e-9)
 
     def test_exact_capacity_honors_config_cap(self, tmp_path):
-        text = SIM_SMALL.replace("2, 2, 1", "2, 2, 2") + "numerics.max_dense_spins = 4\n"
-        with pytest.raises(CapacityError, match="capped at 4"):
+        text = SIM_SMALL.replace("2, 2, 1", "5, 3, 1")
+        with pytest.raises(CapacityError, match="capped at 14 spins, geometry has 15"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
         assert list(tmp_path.glob("traj_*")) == []
 
@@ -199,12 +199,12 @@ class TestSimulate:
 
     def test_exact_capacity_counts_floquet_unitaries(self, tmp_path, monkeypatch):
         """Floquet mode holds the one-cycle unitaries and the cycle products
-        of every block: 22 real d x d arrays for even n, 12 for odd n.  The
+        of every block: 16 real d x d arrays for even n, 10 for odd n.  The
         3x1x1 chain has 3 spins, 3 pairs and one block, d = 4."""
         text = SIM_SMALL.replace("2, 2, 1", "3, 1, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
             .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
             .replace("geom:0.4:1.6:3", "1, 2")
-        need = 8 * 4 * 4 * 12 + 12 * 8 * (3 + 1) + 48 * 2**20
+        need = 8 * 4 * 4 * 10 + 12 * 8 * (3 + 1) + 48 * 2**20
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -506,6 +506,11 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "unknown key 'numerics.krylov_dim'" in capsys.readouterr().err
 
+    def test_retired_max_dense_spins_key_is_unknown(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SIM_SMALL + "numerics.max_dense_spins = 4\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'numerics.max_dense_spins'" in capsys.readouterr().err
+
     def test_no_output_directory_anywhere(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SYNTH_FAMILY)
         assert main(["synth", "--config", str(cfg)]) == 2
@@ -555,10 +560,18 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("numerical failure: SaturationError")
 
     def test_capacity_failure_exits_two(self, tmp_path, capsys):
-        text = SIM_SMALL.replace("2, 2, 1", "2, 2, 2") + "numerics.max_dense_spins = 4\n"
+        cfg = write_cfg(tmp_path, SIM_SMALL.replace("2, 2, 1", "5, 3, 1"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "capped at 14" in capsys.readouterr().err
+
+    def test_non_finite_coordinate_exits_two(self, tmp_path, capsys):
+        coords = tmp_path / "coords.txt"
+        coords.write_text("0 0 0\nnan 0 0\n2 0 0\n")
+        text = SIM_SMALL.replace("geometry.kind = cubic_lattice\ngeometry.shape = 2, 2, 1",
+                                 f"geometry.kind = file\ngeometry.path = {coords}")
         cfg = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "capped at 4" in capsys.readouterr().err
+        assert "positions must be finite, spin 1 is at [nan, 0.0, 0.0]" in capsys.readouterr().err
 
     def test_bad_workers_env_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINQUENCH_WORKERS", "many")

@@ -359,7 +359,7 @@ class TestBetaScan:
         assert scan.best_beta == 2.0
         others = [r for b, r in scan.residuals.items() if b != 2.0]
         assert scan.residuals[2.0] < 0.1 * min(others)
-        assert set(scan.full_residuals) == {0.0, 1.0, 2.0, 3.0}
+        assert set(scan.residuals) == {0.0, 1.0, 2.0, 3.0}
 
     def test_all_windows_empty_raises(self):
         t = np.geomspace(1.0, 10.0, 8)
@@ -514,7 +514,7 @@ class TestXiFitLockOn:
 class TestBootstrapXiFit:
     def test_summary_structure(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
-        out = bootstrap_fit_xi(xi, n_resamples=40, seed=1)
+        out = bootstrap_fit_xi(xi, fit_xi(xi), n_resamples=40, seed=1)
         assert set(out) == {"n_effective", "A", "B", "nu", "p_c"}
         assert out["n_effective"] >= 30
         for key in ("A", "B", "nu", "p_c"):
@@ -524,15 +524,16 @@ class TestBootstrapXiFit:
     def test_interval_brackets_base_fit(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
         base = fit_xi(xi)
-        out = bootstrap_fit_xi(xi, n_resamples=60, seed=1)
+        out = bootstrap_fit_xi(xi, base, n_resamples=60, seed=1)
         assert out["nu"]["ci_low"] <= base.nu <= out["nu"]["ci_high"]
         assert out["p_c"]["ci_low"] <= base.p_c <= out["p_c"]["ci_high"]
         assert out["nu"]["std"] > 0.0
 
     def test_deterministic_given_seed(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
-        assert bootstrap_fit_xi(xi, n_resamples=25, seed=5) == bootstrap_fit_xi(
-            xi, n_resamples=25, seed=5)
+        base = fit_xi(xi)
+        assert bootstrap_fit_xi(xi, base, n_resamples=25, seed=5) == bootstrap_fit_xi(
+            xi, base, n_resamples=25, seed=5)
 
 
 class TestSynthTrajectories:
