@@ -6,11 +6,10 @@ on them, and prints planted vs recovered values side by side, then the
 bootstrap 95% interval of p_c and whether it covers the planted value.
 
 With the defaults (p_c = 0.0266, nu = 0.42, noise 0.01, seed 7) the
-growth exponent (2.8737), beta = 1, p_c = 0.026633 and nu = s = 0.4153
-come back, and the p_c interval [0.026605, 0.026660] just misses the
-planted value.  The interval is that narrow because the bootstrap
-resamples only the residuals of the final xi fit, not the collapse
-before it.
+growth exponent (2.8737), beta = 1, p_c = 0.026635 and nu = s = 0.4169
+come back, and the p_c interval [0.026584, 0.026696] covers the planted
+value.  The interval is still narrow: the bootstrap resamples only the
+residuals of the xi fit, not the collapse before it.
 """
 
 import argparse

@@ -257,12 +257,17 @@ class _Block:
         self.cross = (u[:, None] + u).ravel()
 
     def hamiltonians(self, network: CouplingNetwork, p: float) -> list[np.ndarray]:
+        h = dense_hamiltonian(network, p, self.states)
         if not self.flip:
-            return [dense_hamiltonian(network, p, self.states)]
-        d = self.states.size
+            return [h]
+        # H[R, F R] is added sparse, so the two d x d results are the only dense arrays
+        ws = workspace_for(network)
         flipped = self.states ^ ((1 << network.n_spins) - 1)
-        h = dense_hamiltonian(network, p, np.concatenate([self.states, flipped]))
-        return [h[:d, :d] + h[:d, d:], h[:d, :d] - h[:d, d:]]
+        cross = ((1.0 - p) * ws.h0[self.states] + p * ws.hdd[self.states])[:, flipped].tocoo()
+        minus = h.copy()
+        h[cross.row, cross.col] += cross.data
+        minus[cross.row, cross.col] -= cross.data
+        return [h, minus]
 
     def _sector_sums(self, sq: np.ndarray) -> np.ndarray:
         return np.add.reduceat(np.add.reduceat(sq, self.cuts, axis=0), self.cuts, axis=1).ravel()

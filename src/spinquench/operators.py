@@ -184,10 +184,11 @@ def _apply_mixed_array(ws: _Workspace, p: float, v: np.ndarray) -> np.ndarray:
 
 
 def dense_hamiltonian(network: CouplingNetwork, p: float, indices: np.ndarray | None = None) -> np.ndarray:
-    """Dense real-symmetric H(p), optionally restricted to a basis subset.
+    """Dense real-symmetric H(p), or its block H[indices, indices].
 
-    The restriction is only valid for subsets closed under all pair flips
-    present in the coupling network (the popcount-parity sectors are).
+    The block is the Hamiltonian of a subspace only for subsets closed
+    under all pair flips present in the coupling network (the
+    popcount-parity sectors are).
     """
     ws = workspace_for(network)
     h = (1.0 - p) * ws.h0 + p * ws.hdd

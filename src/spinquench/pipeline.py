@@ -238,8 +238,8 @@ def cmd_scale(config: RunConfig, out_dir, beta_grid=None, anchor_p=None,
                       for b, r in sorted(result.beta_residuals.items())],
         "xi": [{"p": p, "xi": x} for p, x in sorted(result.xi.items())],
         "fit": {"A": result.fit_A, "B": result.fit_B, "nu": result.nu,
-                "p_c": result.p_c, "s": result.s, "branch_gauge": result.branch_gauge,
-                "std_err": result.std_err},
+                "p_c": result.p_c, "p_c_bounds": list(result.p_c_bounds), "s": result.s,
+                "branch_gauge": result.branch_gauge, "std_err": result.std_err},
         "residuals": {"collapse": result.collapse_residual,
                       "beta_scan": result.beta_residuals[result.beta],
                       "pairs": [{"p_lo": lo, "p_hi": hi, "rms": math.sqrt(sq / n), "n": n}

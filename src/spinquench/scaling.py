@@ -14,10 +14,11 @@ measurable (xi(anchor) = K_loc^(1/3)).  Only adjacent curves are
 compared, and a pair's mismatch depends only on the difference of its
 two shifts, so the collapse is solved one pair at a time.  The
 normalized xi(p) is fitted with (A |p - p_c|^nu + B)^(-1) to locate the
-transition, after a fit that fixes which curves lie below p_c profiles
-out their unknown common normalization.  The exponent ratio beta = s/nu
-is not assumed: a scan re-runs the collapse per beta and keeps the
-residual-minimizing value.
+transition.  One fitter serves every xi fit: it bounds p_c to one gap of
+the p grid at a time and, when gauged, profiles out the unknown common
+normalization of the curves below that gap.  The exponent ratio
+beta = s/nu is not assumed: a scan re-runs the collapse per beta and
+keeps the residual-minimizing value.
 
 Note the factor nu is absorbed into the shift variable: x uses k2' =
 k2 nu, so the shifts recover log xi directly rather than log xi^(1/nu).
@@ -140,7 +141,11 @@ class CollapseResult:
 
 @dataclass(frozen=True)
 class XiFit:
-    """Bounded least-squares fit of xi(p) = (A |p - p_c|^nu + B)^(-1)."""
+    """Bounded least-squares fit of xi(p) = (A |p - p_c|^nu + B)^(-1).
+
+    gap is the pair of sampled p that bounds p_c; gamma (None when not
+    gauged) multiplies the factors below the gap and is left out of model.
+    """
 
     A: float
     B: float
@@ -148,6 +153,8 @@ class XiFit:
     p_c: float
     std_err: dict
     residual: float
+    gap: tuple
+    gamma: float | None = None
 
     def model(self, p) -> np.ndarray:
         delta = np.abs(np.asarray(p, dtype=float) - self.p_c)
@@ -182,6 +189,7 @@ class ScalingResult:
     pooled: ScalingFunctionSample
     bootstrap: dict | None = None
     branch_gauge: float = 1.0
+    p_c_bounds: tuple | None = None
     collapse: CollapseResult | None = None
     growth: GrowthFit | None = None
 
@@ -453,12 +461,18 @@ def _xi_inner_fit(ps: np.ndarray, inv_xi: np.ndarray, p_c: float, nu: float):
     return coef[0], coef[1], rnorm**2
 
 
-def fit_xi(xi: dict):
-    """Fit xi(p) = (A |p - p_c|^nu + B)^(-1) by bounded least squares.
+def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
+    """Fit log xi = ln gamma [i < k] - log(A |p - p_c|^nu + B), one gap k at a time.
 
-    Multi-start over a p_c grid (with the inner linear problem solved
-    exactly per start) feeds one final nonlinear refinement; standard
-    errors come from the Jacobian at the solution.
+    For gap k, p_c is bounded to [p_{k-1}, p_k] and gamma multiplies
+    exactly the k lowest-p factors (gamma = 1 and no ln gamma parameter
+    when not gauged).  Each gap starts from 5 interior p_c values, times
+    ln gamma in {0, 1, 2, 3} when gauged, with (A, B, nu) seeded by the
+    linear inner fit on the gamma-corrected factors; the 3 starts of least
+    initial cost are polished.  A given start (A, B, nu, p_c[, ln gamma])
+    replaces the multi-start.  The gap of least cost wins; standard errors
+    come from the Jacobian there and are NaN when the fit has no degrees
+    of freedom left.
     """
     from scipy.optimize import least_squares, minimize_scalar
     ps = np.array(sorted(xi))
@@ -467,46 +481,65 @@ def fit_xi(xi: dict):
     vals = np.array([xi[p] for p in ps])
     if np.any(vals <= 0):
         raise FitError("scaling factors must be positive")
-    inv = 1.0 / vals
-    lo_p, hi_p = ps[0], ps[-1]
-    scan = []
-    for pc0 in np.linspace(lo_p + 1e-6 * (hi_p - lo_p), hi_p - 1e-6 * (hi_p - lo_p), 41):
-        inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
-                                bounds=(0.05, 5.0), method="bounded", options={"xatol": 1e-10})
-        a, b, ssr = _xi_inner_fit(ps, inv, pc0, inner.x)
-        scan.append((float(pc0), float(inner.x), float(a), float(b), float(ssr)))
-    scan.sort(key=lambda row: row[4])
+    log_vals = np.log(vals)
+    lngs = (0.0, 1.0, 2.0, 3.0) if gauged else (0.0,)
+    n_par = 5 if gauged else 4
+    best, best_k = None, None
+    for k in gaps:
+        below = np.arange(ps.size) < k
 
-    def residuals(theta):
-        a, b, nu, pc = theta
-        return 1.0 / (a * np.abs(ps - pc) ** nu + b) - vals
+        def residuals(theta, below=below):
+            a, b, nu, pc = theta[:4]
+            lng = theta[4] if gauged else 0.0
+            return lng * below - np.log(a * np.abs(ps - pc) ** nu + b) - log_vals
 
-    bounds = ([1e-12, 0.0, 1e-3, lo_p], [np.inf, np.inf, 10.0, hi_p])
-    last_exc = None
-    for pc0, nu0, a0, b0, _ in scan[:3]:
-        x0 = [max(a0, 1e-10), max(b0, 0.0), nu0, pc0]
-        try:
-            res = least_squares(residuals, x0, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except Exception as exc:  # keep trying other starts
-            last_exc = exc
-            continue
-        if res.success or res.cost < 1e-20:
-            a, b, nu, pc = res.x
-            dof = ps.size - 4
-            if dof > 0 and res.cost > 0:
-                s2 = 2.0 * res.cost / dof
-                cov = s2 * np.linalg.pinv(res.jac.T @ res.jac)
-                se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-            else:
-                se = np.zeros(4)
-            std = {"A": float(se[0]), "B": float(se[1]), "nu": float(se[2]), "p_c": float(se[3])}
-            return XiFit(A=float(a), B=float(b), nu=float(nu), p_c=float(pc), std_err=std,
-                         residual=float(np.sqrt(2.0 * res.cost / ps.size)))
-    landscape = "; ".join(f"p_c={r[0]:.4g} nu={r[1]:.3g} ssr={r[4]:.3g}" for r in scan[:8])
-    raise FitError(f"xi fit failed from all starts ({last_exc}); residual landscape: {landscape}")
+        starts = [start]
+        if start is None:
+            scored = []
+            for pc0 in np.linspace(ps[k - 1], ps[k], 7)[1:-1]:
+                for lng0 in lngs:
+                    inv = np.exp(lng0 * below) / vals
+                    inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
+                                            bounds=(0.05, 5.0), method="bounded",
+                                            options={"xatol": 1e-8})
+                    a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
+                    x0 = [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0][:n_par]
+                    scored.append((float(np.sum(residuals(np.array(x0)) ** 2)), x0))
+            scored.sort(key=lambda row: row[0])
+            starts = [x0 for _, x0 in scored[:3]]
+        bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0][:n_par],
+                  [np.inf, np.inf, 10.0, ps[k], 5.0][:n_par])
+        for x0 in starts:
+            try:
+                res = least_squares(residuals, x0, bounds=bounds,
+                                    xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            except ValueError:  # non-finite residuals at x0; LinAlgError is one too
+                continue
+            if best is None or res.cost < best.cost:
+                best, best_k = res, k
+    if best is None:
+        raise FitError(f"xi fit failed from every start in gaps {list(gaps)}")
+    dof = ps.size - n_par
+    if dof > 0:
+        cov = (2.0 * best.cost / dof) * np.linalg.pinv(best.jac.T @ best.jac)
+        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    else:
+        se = np.full(n_par, np.nan)
+    a, b, nu, pc = best.x[:4]
+    return XiFit(A=float(a), B=float(b), nu=float(nu), p_c=float(pc),
+                 std_err=dict(zip(("A", "B", "nu", "p_c"), se[:4].tolist())),
+                 residual=float(np.sqrt(2.0 * best.cost / ps.size)),
+                 gap=(float(ps[best_k - 1]), float(ps[best_k])),
+                 gamma=float(np.exp(best.x[4])) if gauged else None)
 
 
-def fit_xi_branch_gauged(xi: dict):
+def fit_xi(xi: dict) -> XiFit:
+    """Fit xi(p) = (A |p - p_c|^nu + B)^(-1) in log space, trying every
+    gap of the p grid for p_c (see _fit_gaps)."""
+    return _fit_gaps(xi, range(1, len(xi)), gauged=False)
+
+
+def fit_xi_branch_gauged(xi: dict) -> XiFit:
     """Critical fit with the below-p_c normalization profiled out.
 
     Horizontal-shift collapse cannot fix the relative normalization of
@@ -518,90 +551,47 @@ def fit_xi_branch_gauged(xi: dict):
 
         xi(p) = gamma^{[p < p_c]} * (A |p - p_c|^nu + B)^(-1)
 
-    in log space and profiles gamma out one split at a time: for split k
-    gamma multiplies exactly the k lowest-p factors and p_c is bounded to
-    [p_{k-1}, p_k], so the model stays smooth in p_c (a gamma switched on
-    by p < p_c would jump whenever p_c crossed a sampled p, and the fit
-    would stop on a sample).  Each split starts from 5 interior p_c
-    values times ln gamma in {0, 1, 2, 3}, with (A, B, nu) seeded by the
-    linear inner fit on the gamma-corrected factors; the 3 starts of
-    least initial cost are polished.  The split of least cost wins.
-    Returns (fit_xi on the gauge-corrected factors, gamma, corrected xi
-    map).
+    and fixes, per gap of the p grid, which curves gamma multiplies: the
+    ones below the gap, with p_c bounded to the gap, so the model stays
+    smooth in p_c (a gamma switched on by p < p_c would jump whenever p_c
+    crossed a sampled p, and the fit would stop on a sample).  Only gaps
+    with at least two curves on each side are tried, so gamma stays
+    identifiable.  Returns the winning fit, with its gap and gamma.
     """
-    from scipy.optimize import least_squares, minimize_scalar
-    ps = np.array(sorted(xi))
-    if ps.size < 5:
-        raise InsufficientDataError(f"xi fit needs >= 5 distinct p values, got {ps.size}")
-    vals = np.array([xi[p] for p in ps])
-    if np.any(vals <= 0):
-        raise FitError("scaling factors must be positive")
-    log_vals = np.log(vals)
-
-    # candidate split points: between consecutive p values, keeping >= 2
-    # curves on each side so gamma stays identifiable
-    best, best_k = None, None
-    for k in range(2, ps.size - 1):
-        below = np.arange(ps.size) < k
-
-        def residuals(theta, below=below):
-            a, b, nu, pc, lng = theta
-            return -np.log(a * np.abs(ps - pc) ** nu + b) + lng * below - log_vals
-
-        starts = []
-        for pc0 in np.linspace(ps[k - 1], ps[k], 7)[1:-1]:
-            for lng0 in (0.0, 1.0, 2.0, 3.0):
-                inv = np.exp(lng0 * below) / vals
-                inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
-                                        bounds=(0.05, 5.0), method="bounded",
-                                        options={"xatol": 1e-8})
-                a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
-                x0 = [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0]
-                starts.append((float(np.sum(residuals(x0) ** 2)), x0))
-        starts.sort(key=lambda start: start[0])
-        bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0], [np.inf, np.inf, 10.0, ps[k], 5.0])
-        for _, x0 in starts[:3]:
-            try:
-                res = least_squares(residuals, x0, bounds=bounds,
-                                    xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            except Exception:
-                continue
-            if best is None or res.cost < best.cost:
-                best, best_k = res, k
-    if best is None:
-        raise FitError("branch-gauged xi fit failed from every candidate split")
-    gamma = float(np.exp(best.x[4]))
-    corrected = {float(p): float(v / (gamma if i < best_k else 1.0))
-                 for i, (p, v) in enumerate(zip(ps, vals))}
-    return fit_xi(corrected), gamma, corrected
+    return _fit_gaps(xi, range(2, len(xi) - 1), gauged=True)
 
 
 def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 0) -> dict:
-    """Residual bootstrap (multiplicative residuals) around base, the
-    fit_xi of xi.
+    """Residual bootstrap (multiplicative residuals) around base, the fit of xi.
 
-    Returns parameter sample arrays plus std and central 95% intervals.
+    Each resample is base's own model, gamma on the curves below its gap
+    included, times log residuals drawn with replacement, refitted in
+    base's gap only from base's parameters.  Returns the number of
+    resamples fitted plus std and central 95% interval per parameter.
     """
     ps = np.array(sorted(xi))
-    vals = np.array([xi[p] for p in ps])
-    fitted = base.model(ps)
-    log_res = np.log(vals) - np.log(fitted)
+    k = int(np.searchsorted(ps, base.gap[1]))
+    gauged = base.gamma is not None
+    log_fitted = np.log(base.model(ps))
+    start = [base.A, base.B, base.nu, base.p_c]
+    if gauged:
+        log_fitted[:k] += math.log(base.gamma)
+        start.append(math.log(base.gamma))
+    log_res = np.log([xi[p] for p in ps]) - log_fitted
     rng = np.random.default_rng(seed)
     samples = {"A": [], "B": [], "nu": [], "p_c": []}
     for _ in range(n_resamples):
-        resampled = np.exp(np.log(fitted) + rng.choice(log_res, size=ps.size, replace=True))
+        resampled = np.exp(log_fitted + rng.choice(log_res, size=ps.size, replace=True))
         try:
-            fit = fit_xi(dict(zip(ps.tolist(), resampled.tolist())))
-        except (FitError, InsufficientDataError):
+            fit = _fit_gaps(dict(zip(ps.tolist(), resampled.tolist())), [k], gauged, start)
+        except FitError:
             continue
-        samples["A"].append(fit.A)
-        samples["B"].append(fit.B)
-        samples["nu"].append(fit.nu)
-        samples["p_c"].append(fit.p_c)
+        for name, v in samples.items():
+            v.append(getattr(fit, name))
     out = {"n_effective": len(samples["nu"])}
-    for k, v in samples.items():
+    for name, v in samples.items():
         arr = np.array(v)
-        out[k] = {
+        out[name] = {
             "std": float(arr.std(ddof=1)) if arr.size > 1 else float("nan"),
             "ci_low": float(np.percentile(arr, 2.5)) if arr.size else float("nan"),
             "ci_high": float(np.percentile(arr, 97.5)) if arr.size else float("nan"),
@@ -700,11 +690,11 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     trajectory; t_min controls the scaling window fed to the collapse,
     which solves each adjacent pair of curves on its own (see collapse).
     The xi fit profiles out the cross-transition normalization, trying
-    every split of the p grid with at least two curves on each side and
-    bounding p_c between the split's neighbors (see
-    fit_xi_branch_gauged), and falls back to the plain fit when every
-    split fails.  The plain fit of the corrected factors gives the
-    reported parameters and feeds the bootstrap.
+    every gap of the p grid with at least two curves on each side and
+    bounding p_c to the gap (see fit_xi_branch_gauged); it falls back to
+    the plain fit when every gap fails.  That one fit gives the reported
+    parameters, p_c_bounds (its gap) and the gauge-corrected xi, and the
+    bootstrap resamples around it.
     """
     trajs = sorted(trajs, key=lambda tr: tr.p)
     if len({tr.p for tr in trajs}) < 3:
@@ -719,10 +709,12 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     k_loc = estimate_k_loc(anchor_traj)
     xi = normalize_xi(coll.xi_raw, anchor_p, k_loc)
     try:
-        fit, gauge, xi_fitted = fit_xi_branch_gauged(xi)
-    except (FitError, InsufficientDataError):
-        fit, gauge, xi_fitted = fit_xi(xi), 1.0, xi
-    boot = (bootstrap_fit_xi(xi_fitted, fit, n_resamples=n_bootstrap, seed=bootstrap_seed)
+        fit = fit_xi_branch_gauged(xi)
+    except FitError:
+        fit = fit_xi(xi)
+    gauge = 1.0 if fit.gamma is None else fit.gamma
+    xi_fitted = {p: v / gauge if p < fit.gap[1] else v for p, v in xi.items()}
+    boot = (bootstrap_fit_xi(xi, fit, n_resamples=n_bootstrap, seed=bootstrap_seed)
             if n_bootstrap > 0 else None)
     s_val = scan.best_beta * fit.nu
     return ScalingResult(
@@ -730,4 +722,4 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
         fit_A=fit.A, fit_B=fit.B, nu=fit.nu, p_c=fit.p_c, std_err=fit.std_err,
         s=s_val, wegner_dimension_check=2.0 + s_val / fit.nu, alpha=growth.alpha,
         beta_residuals=scan.residuals, pooled=coll.pooled, bootstrap=boot,
-        branch_gauge=gauge, collapse=coll, growth=growth)
+        branch_gauge=gauge, p_c_bounds=fit.gap, collapse=coll, growth=growth)

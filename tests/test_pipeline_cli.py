@@ -344,7 +344,11 @@ class TestScaleCommand:
                                "xi", "fit", "residuals", "wegner_dimension_check",
                                "anchor_p", "bootstrap", "n_curves", "config_digest"}
         assert set(report["growth"]) == {"r2", "t_min", "n_points"}
-        assert set(report["fit"]) == {"A", "B", "nu", "p_c", "s", "branch_gauge", "std_err"}
+        assert set(report["fit"]) == {"A", "B", "nu", "p_c", "p_c_bounds", "s", "branch_gauge",
+                                      "std_err"}
+        lo, hi = report["fit"]["p_c_bounds"]
+        assert (lo, hi) in {(row["p"], nxt["p"]) for row, nxt in zip(report["xi"], report["xi"][1:])}
+        assert lo <= report["fit"]["p_c"] <= hi
         assert set(report["residuals"]) == {"collapse", "beta_scan", "pairs", "excluded_pair"}
         pairs = report["residuals"]["pairs"]
         assert [(row["p_lo"], row["p_hi"]) for row in pairs] == [

@@ -36,6 +36,7 @@ from spinquench.scaling import (
     estimate_k_loc,
     fit_growth_exponent,
     fit_xi,
+    fit_xi_branch_gauged,
     full_scaling_analysis,
     normalize_xi,
     rescale,
@@ -51,6 +52,10 @@ P_LIST = [0.005, 0.010, 0.015, 0.020, 0.024, 0.030, 0.040, 0.060, 0.108]
 T_GRID = np.geomspace(1.0, 500.0, 40)
 PLANTED = {"p_c": 0.0266, "nu": 0.4205, "s": 0.4205, "alpha": 2.87,
            "A": 0.58, "B": 0.05}
+
+
+# the plain fit and the branch-gauged fit share one fitter; both must pass
+XI_FITTERS = (fit_xi, fit_xi_branch_gauged)
 
 
 def planted_xi(p):
@@ -442,46 +447,75 @@ class TestXiFit:
         return dict(zip(P_LIST, vals.tolist()))
 
     def test_noiseless_recovery(self):
-        fit = fit_xi(self.xi_map())
-        assert fit.A == pytest.approx(PLANTED["A"], rel=1e-4)
-        assert fit.B == pytest.approx(PLANTED["B"], rel=1e-4)
-        assert fit.nu == pytest.approx(PLANTED["nu"], rel=1e-4)
-        assert fit.p_c == pytest.approx(PLANTED["p_c"], rel=1e-4)
-        assert fit.residual <= 1e-7
+        for fitter in XI_FITTERS:
+            fit = fitter(self.xi_map())
+            assert fit.A == pytest.approx(PLANTED["A"], rel=1e-4)
+            assert fit.B == pytest.approx(PLANTED["B"], rel=1e-4)
+            assert fit.nu == pytest.approx(PLANTED["nu"], rel=1e-4)
+            assert fit.p_c == pytest.approx(PLANTED["p_c"], rel=1e-4)
+            assert fit.residual <= 1e-7
 
     def test_pure_pole_recovery(self):
         ps = [0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.10]
-        fit = fit_xi({p: 1.0 / abs(p - 0.05) for p in ps})
-        assert fit.A == pytest.approx(1.0, rel=1e-8)
-        assert fit.B == pytest.approx(0.0, abs=1e-9)
-        assert fit.nu == pytest.approx(1.0, rel=1e-8)
-        assert fit.p_c == pytest.approx(0.05, rel=1e-8)
+        for fitter in XI_FITTERS:
+            fit = fitter({p: 1.0 / abs(p - 0.05) for p in ps})
+            assert fit.A == pytest.approx(1.0, rel=1e-8)
+            assert fit.B == pytest.approx(0.0, abs=1e-9)
+            assert fit.nu == pytest.approx(1.0, rel=1e-8)
+            assert fit.p_c == pytest.approx(0.05, rel=1e-8)
+            assert fit.gap == (0.04, 0.06)
 
     def test_two_percent_noise_recovery(self):
-        # seed-sensitive at this noise level; pinned seed sits well inside
+        # seed-sensitive at this noise level; pinned seed sits well inside.
+        # Plain fit only: on this draw the gauged fit's gamma absorbs part
+        # of the noise (gamma 0.975, nu 0.481)
         fit = fit_xi(self.xi_map(noise_seed=7, level=0.02))
         assert abs(fit.p_c - PLANTED["p_c"]) <= 0.002
         assert abs(fit.nu - PLANTED["nu"]) <= 0.05
 
     def test_model_matches_parameters(self):
-        fit = fit_xi(self.xi_map())
         ps = np.linspace(0.006, 0.1, 9)
-        expect = 1.0 / (fit.A * np.abs(ps - fit.p_c) ** fit.nu + fit.B)
-        np.testing.assert_allclose(fit.model(ps), expect, rtol=1e-12)
+        for fitter in XI_FITTERS:
+            fit = fitter(self.xi_map())
+            expect = 1.0 / (fit.A * np.abs(ps - fit.p_c) ** fit.nu + fit.B)
+            np.testing.assert_allclose(fit.model(ps), expect, rtol=1e-12)
 
     def test_errors_reported_per_parameter(self):
-        fit = fit_xi(self.xi_map(noise_seed=7, level=0.02))
-        assert set(fit.std_err) == {"A", "B", "nu", "p_c"}
-        assert all(v >= 0.0 for v in fit.std_err.values())
-        assert fit.std_err["p_c"] > 0.0
+        for fitter in XI_FITTERS:
+            fit = fitter(self.xi_map(noise_seed=7, level=0.02))
+            assert set(fit.std_err) == {"A", "B", "nu", "p_c"}
+            assert all(v >= 0.0 for v in fit.std_err.values())
+            assert fit.std_err["p_c"] > 0.0
+
+    def test_errors_nan_without_degrees_of_freedom(self):
+        # 5 factors: the plain fit keeps one degree of freedom, the gauged
+        # fit's fifth parameter (gamma) uses it up
+        xi = {p: planted_xi(p) for p in (0.009, 0.014, 0.02, 0.048, 0.075)}
+        assert all(math.isfinite(v) for v in fit_xi(xi).std_err.values())
+        assert all(math.isnan(v) for v in fit_xi_branch_gauged(xi).std_err.values())
+
+    def test_gauged_p_c_stays_in_its_gap(self):
+        # flat factors with log-normal scatter on the simulated-sweep grid:
+        # a refit of the gauge-corrected factors over the whole grid moves
+        # p_c out of the gap the gauge was fitted for (the third draw to
+        # 0.85 from gap [0.55, 0.7])
+        ps = [0.0, 0.1, 0.2, 0.3, 0.4, 0.55, 0.7, 0.85]
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            xi = dict(zip(ps, np.exp(0.03 * rng.standard_normal(len(ps))).tolist()))
+            fit = fit_xi_branch_gauged(xi)
+            assert fit.gap in list(zip(ps[1:-2], ps[2:-1]))
+            assert fit.gap[0] <= fit.p_c <= fit.gap[1]
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(InsufficientDataError, match=">= 5"):
-            fit_xi({0.1: 1.0, 0.2: 2.0, 0.3: 3.0, 0.4: 4.0})
+        for fitter in XI_FITTERS:
+            with pytest.raises(InsufficientDataError, match=">= 5"):
+                fitter({0.1: 1.0, 0.2: 2.0, 0.3: 3.0, 0.4: 4.0})
 
     def test_nonpositive_values_rejected(self):
-        with pytest.raises(FitError, match="positive"):
-            fit_xi({p: v for p, v in zip(P_LIST, [1.0, 2.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])})
+        for fitter in XI_FITTERS:
+            with pytest.raises(FitError, match="positive"):
+                fitter({p: v for p, v in zip(P_LIST, [1.0, 2.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])})
 
 
 class TestXiFitLockOn:
@@ -514,26 +548,29 @@ class TestXiFitLockOn:
 class TestBootstrapXiFit:
     def test_summary_structure(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
-        out = bootstrap_fit_xi(xi, fit_xi(xi), n_resamples=40, seed=1)
-        assert set(out) == {"n_effective", "A", "B", "nu", "p_c"}
-        assert out["n_effective"] >= 30
-        for key in ("A", "B", "nu", "p_c"):
-            assert set(out[key]) == {"std", "ci_low", "ci_high"}
-            assert out[key]["ci_low"] <= out[key]["ci_high"]
+        for fitter in XI_FITTERS:
+            out = bootstrap_fit_xi(xi, fitter(xi), n_resamples=40, seed=1)
+            assert set(out) == {"n_effective", "A", "B", "nu", "p_c"}
+            assert out["n_effective"] >= 30
+            for key in ("A", "B", "nu", "p_c"):
+                assert set(out[key]) == {"std", "ci_low", "ci_high"}
+                assert out[key]["ci_low"] <= out[key]["ci_high"]
 
     def test_interval_brackets_base_fit(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
-        base = fit_xi(xi)
-        out = bootstrap_fit_xi(xi, base, n_resamples=60, seed=1)
-        assert out["nu"]["ci_low"] <= base.nu <= out["nu"]["ci_high"]
-        assert out["p_c"]["ci_low"] <= base.p_c <= out["p_c"]["ci_high"]
-        assert out["nu"]["std"] > 0.0
+        for fitter in XI_FITTERS:
+            base = fitter(xi)
+            out = bootstrap_fit_xi(xi, base, n_resamples=60, seed=1)
+            assert out["nu"]["ci_low"] <= base.nu <= out["nu"]["ci_high"]
+            assert out["p_c"]["ci_low"] <= base.p_c <= out["p_c"]["ci_high"]
+            assert out["nu"]["std"] > 0.0
 
     def test_deterministic_given_seed(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
-        base = fit_xi(xi)
-        assert bootstrap_fit_xi(xi, base, n_resamples=25, seed=5) == bootstrap_fit_xi(
-            xi, base, n_resamples=25, seed=5)
+        for fitter in XI_FITTERS:
+            base = fitter(xi)
+            assert bootstrap_fit_xi(xi, base, n_resamples=25, seed=5) == bootstrap_fit_xi(
+                xi, base, n_resamples=25, seed=5)
 
 
 class TestSynthTrajectories:
@@ -629,6 +666,28 @@ class TestFullAnalysis:
         growth = fit_growth_exponent(trajs[0], t_min=40.0)
         fresh = collapse(rescale(trajs, growth, result.beta, 2.0))
         assert result.collapse.shifts == fresh.shifts
+
+    def test_gauged_fit_reported_without_refit(self, noiseless_family, monkeypatch):
+        """A grid with two curves on each side of p_c reports the gauged
+        fit itself: no plain fit_xi call, in the fit or the bootstrap, and
+        p_c inside the fit's gap."""
+        import spinquench.scaling as scaling
+
+        trajs, _, _, _ = noiseless_family
+        calls = []
+
+        def counted(xi):
+            calls.append(xi)
+            return fit_xi(xi)
+
+        monkeypatch.setattr(scaling, "fit_xi", counted)
+        result = full_scaling_analysis(trajs, anchor_p=0.108, beta_grid=(1.0,), t_min=2.0,
+                                       growth_t_min=40.0, n_bootstrap=5)
+        assert calls == []
+        assert result.bootstrap["n_effective"] == 5
+        lo, hi = result.p_c_bounds
+        assert (lo, hi) in list(zip(P_LIST, P_LIST[1:]))
+        assert lo <= result.p_c <= hi
 
     def test_too_few_curves_rejected(self):
         trajs = synth_trajectories([0.01, 0.06], t_grid=T_GRID, **PLANTED)
