@@ -470,9 +470,10 @@ def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
     ln gamma in {0, 1, 2, 3} when gauged, with (A, B, nu) seeded by the
     linear inner fit on the gamma-corrected factors; the 3 starts of least
     initial cost are polished.  A given start (A, B, nu, p_c[, ln gamma])
-    replaces the multi-start.  The gap of least cost wins; standard errors
-    come from the Jacobian there and are NaN when the fit has no degrees
-    of freedom left.
+    replaces the multi-start.  Only polishes that converge count, and
+    FitError is raised when none does.  The gap of least cost wins;
+    standard errors come from the Jacobian there and are NaN when the fit
+    has no degrees of freedom left.
     """
     from scipy.optimize import least_squares, minimize_scalar
     ps = np.array(sorted(xi))
@@ -515,10 +516,11 @@ def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
                                     xtol=1e-15, ftol=1e-15, gtol=1e-15)
             except ValueError:  # non-finite residuals at x0; LinAlgError is one too
                 continue
-            if best is None or res.cost < best.cost:
+            converged = res.success or res.cost < 1e-20
+            if converged and (best is None or res.cost < best.cost):
                 best, best_k = res, k
     if best is None:
-        raise FitError(f"xi fit failed from every start in gaps {list(gaps)}")
+        raise FitError(f"xi fit converged from no start in gaps {list(gaps)}")
     dof = ps.size - n_par
     if dof > 0:
         cov = (2.0 * best.cost / dof) * np.linalg.pinv(best.jac.T @ best.jac)
@@ -567,7 +569,8 @@ def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 
     Each resample is base's own model, gamma on the curves below its gap
     included, times log residuals drawn with replacement, refitted in
     base's gap only from base's parameters.  Returns the number of
-    resamples fitted plus std and central 95% interval per parameter.
+    resamples whose refit converged (n_effective) plus std and central
+    95% interval per parameter over those.
     """
     ps = np.array(sorted(xi))
     k = int(np.searchsorted(ps, base.gap[1]))
@@ -691,10 +694,9 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     which solves each adjacent pair of curves on its own (see collapse).
     The xi fit profiles out the cross-transition normalization, trying
     every gap of the p grid with at least two curves on each side and
-    bounding p_c to the gap (see fit_xi_branch_gauged); it falls back to
-    the plain fit when every gap fails.  That one fit gives the reported
-    parameters, p_c_bounds (its gap) and the gauge-corrected xi, and the
-    bootstrap resamples around it.
+    bounding p_c to the gap (see fit_xi_branch_gauged).  That one fit
+    gives the reported parameters, p_c_bounds (its gap) and the
+    gauge-corrected xi, and the bootstrap resamples around it.
     """
     trajs = sorted(trajs, key=lambda tr: tr.p)
     if len({tr.p for tr in trajs}) < 3:
@@ -708,12 +710,8 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
         raise ValueError(f"anchor p={anchor_p} has no trajectory (have {[tr.p for tr in trajs]})")
     k_loc = estimate_k_loc(anchor_traj)
     xi = normalize_xi(coll.xi_raw, anchor_p, k_loc)
-    try:
-        fit = fit_xi_branch_gauged(xi)
-    except FitError:
-        fit = fit_xi(xi)
-    gauge = 1.0 if fit.gamma is None else fit.gamma
-    xi_fitted = {p: v / gauge if p < fit.gap[1] else v for p, v in xi.items()}
+    fit = fit_xi_branch_gauged(xi)
+    xi_fitted = {p: v / fit.gamma if p < fit.gap[1] else v for p, v in xi.items()}
     boot = (bootstrap_fit_xi(xi, fit, n_resamples=n_bootstrap, seed=bootstrap_seed)
             if n_bootstrap > 0 else None)
     s_val = scan.best_beta * fit.nu
@@ -722,4 +720,4 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
         fit_A=fit.A, fit_B=fit.B, nu=fit.nu, p_c=fit.p_c, std_err=fit.std_err,
         s=s_val, wegner_dimension_check=2.0 + s_val / fit.nu, alpha=growth.alpha,
         beta_residuals=scan.residuals, pooled=coll.pooled, bootstrap=boot,
-        branch_gauge=gauge, p_c_bounds=fit.gap, collapse=coll, growth=growth)
+        branch_gauge=fit.gamma, p_c_bounds=fit.gap, collapse=coll, growth=growth)

@@ -448,22 +448,22 @@ class TestXiFit:
 
     def test_noiseless_recovery(self):
         for fitter in XI_FITTERS:
-            fit = fitter(self.xi_map())
-            assert fit.A == pytest.approx(PLANTED["A"], rel=1e-4)
-            assert fit.B == pytest.approx(PLANTED["B"], rel=1e-4)
-            assert fit.nu == pytest.approx(PLANTED["nu"], rel=1e-4)
-            assert fit.p_c == pytest.approx(PLANTED["p_c"], rel=1e-4)
-            assert fit.residual <= 1e-7
+            fit, name = fitter(self.xi_map()), fitter.__name__
+            assert fit.A == pytest.approx(PLANTED["A"], rel=1e-4), name
+            assert fit.B == pytest.approx(PLANTED["B"], rel=1e-4), name
+            assert fit.nu == pytest.approx(PLANTED["nu"], rel=1e-4), name
+            assert fit.p_c == pytest.approx(PLANTED["p_c"], rel=1e-4), name
+            assert fit.residual <= 1e-7, name
 
     def test_pure_pole_recovery(self):
         ps = [0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.10]
         for fitter in XI_FITTERS:
-            fit = fitter({p: 1.0 / abs(p - 0.05) for p in ps})
-            assert fit.A == pytest.approx(1.0, rel=1e-8)
-            assert fit.B == pytest.approx(0.0, abs=1e-9)
-            assert fit.nu == pytest.approx(1.0, rel=1e-8)
-            assert fit.p_c == pytest.approx(0.05, rel=1e-8)
-            assert fit.gap == (0.04, 0.06)
+            fit, name = fitter({p: 1.0 / abs(p - 0.05) for p in ps}), fitter.__name__
+            assert fit.A == pytest.approx(1.0, rel=1e-8), name
+            assert fit.B == pytest.approx(0.0, abs=1e-9), name
+            assert fit.nu == pytest.approx(1.0, rel=1e-8), name
+            assert fit.p_c == pytest.approx(0.05, rel=1e-8), name
+            assert fit.gap == (0.04, 0.06), name
 
     def test_two_percent_noise_recovery(self):
         # seed-sensitive at this noise level; pinned seed sits well inside.
@@ -478,14 +478,15 @@ class TestXiFit:
         for fitter in XI_FITTERS:
             fit = fitter(self.xi_map())
             expect = 1.0 / (fit.A * np.abs(ps - fit.p_c) ** fit.nu + fit.B)
-            np.testing.assert_allclose(fit.model(ps), expect, rtol=1e-12)
+            np.testing.assert_allclose(fit.model(ps), expect, rtol=1e-12,
+                                       err_msg=fitter.__name__)
 
     def test_errors_reported_per_parameter(self):
         for fitter in XI_FITTERS:
-            fit = fitter(self.xi_map(noise_seed=7, level=0.02))
-            assert set(fit.std_err) == {"A", "B", "nu", "p_c"}
-            assert all(v >= 0.0 for v in fit.std_err.values())
-            assert fit.std_err["p_c"] > 0.0
+            fit, name = fitter(self.xi_map(noise_seed=7, level=0.02)), fitter.__name__
+            assert set(fit.std_err) == {"A", "B", "nu", "p_c"}, name
+            assert all(v >= 0.0 for v in fit.std_err.values()), name
+            assert fit.std_err["p_c"] > 0.0, name
 
     def test_errors_nan_without_degrees_of_freedom(self):
         # 5 factors: the plain fit keeps one degree of freedom, the gauged
@@ -549,28 +550,50 @@ class TestBootstrapXiFit:
     def test_summary_structure(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
         for fitter in XI_FITTERS:
-            out = bootstrap_fit_xi(xi, fitter(xi), n_resamples=40, seed=1)
-            assert set(out) == {"n_effective", "A", "B", "nu", "p_c"}
-            assert out["n_effective"] >= 30
+            out, name = bootstrap_fit_xi(xi, fitter(xi), n_resamples=40, seed=1), fitter.__name__
+            assert set(out) == {"n_effective", "A", "B", "nu", "p_c"}, name
+            assert out["n_effective"] >= 30, name
             for key in ("A", "B", "nu", "p_c"):
-                assert set(out[key]) == {"std", "ci_low", "ci_high"}
-                assert out[key]["ci_low"] <= out[key]["ci_high"]
+                assert set(out[key]) == {"std", "ci_low", "ci_high"}, name
+                assert out[key]["ci_low"] <= out[key]["ci_high"], name
 
     def test_interval_brackets_base_fit(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
         for fitter in XI_FITTERS:
-            base = fitter(xi)
+            base, name = fitter(xi), fitter.__name__
             out = bootstrap_fit_xi(xi, base, n_resamples=60, seed=1)
-            assert out["nu"]["ci_low"] <= base.nu <= out["nu"]["ci_high"]
-            assert out["p_c"]["ci_low"] <= base.p_c <= out["p_c"]["ci_high"]
-            assert out["nu"]["std"] > 0.0
+            assert out["nu"]["ci_low"] <= base.nu <= out["nu"]["ci_high"], name
+            assert out["p_c"]["ci_low"] <= base.p_c <= out["p_c"]["ci_high"], name
+            assert out["nu"]["std"] > 0.0, name
 
     def test_deterministic_given_seed(self):
         xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
         for fitter in XI_FITTERS:
             base = fitter(xi)
             assert bootstrap_fit_xi(xi, base, n_resamples=25, seed=5) == bootstrap_fit_xi(
-                xi, base, n_resamples=25, seed=5)
+                xi, base, n_resamples=25, seed=5), fitter.__name__
+
+    def test_unconverged_refits_not_counted(self, monkeypatch):
+        # every other polish is cut off after one evaluation, short of
+        # convergence: those resamples must not count as fitted, and a fit
+        # whose every polish is cut off must fail
+        import scipy.optimize
+        xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
+        base = fit_xi_branch_gauged(xi)
+        real, calls = scipy.optimize.least_squares, []
+
+        def capped(*args, every=2, **kwargs):
+            calls.append(None)
+            if len(calls) % every == 0:
+                kwargs["max_nfev"] = 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", capped)
+        assert bootstrap_fit_xi(xi, base, n_resamples=10, seed=1)["n_effective"] == 5
+        monkeypatch.setattr(scipy.optimize, "least_squares",
+                            lambda *a, **kw: capped(*a, every=1, **kw))
+        with pytest.raises(FitError, match="converged from no start"):
+            fit_xi_branch_gauged(xi)
 
 
 class TestSynthTrajectories:
