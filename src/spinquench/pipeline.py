@@ -233,6 +233,7 @@ def cmd_scale(config: RunConfig, out_dir, beta_grid=None, anchor_p=None,
         "alpha": result.alpha,
         "alpha_K": growth.alpha_K,
         "growth": {"r2": growth.r2, "t_min": growth.t_min, "n_points": growth.n_points},
+        "collapse": {"t_min": result.t_min},
         "beta": result.beta,
         "beta_scan": [{"beta": b, "residual": r}
                       for b, r in sorted(result.beta_residuals.items())],
@@ -287,8 +288,10 @@ def cmd_plot(config: RunConfig, out_dir) -> dict:
         report = sqio.read_report_json(report_path)
         growth = fit_growth_exponent(combined[0],
                                      t_min=report["growth"]["t_min"])
+        # the collapse's scaling window, which pooled.csv holds too, not
+        # the growth-fit window
         curves = rescale(combined, growth, report["beta"],
-                         t_min=report["growth"]["t_min"])
+                         t_min=report["collapse"]["t_min"])
         figures["rescaled"] = plots.plot_rescaled(curves)
         pooled_path = Path(report_path).with_name("pooled.csv")
         if pooled_path.exists():

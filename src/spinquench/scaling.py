@@ -172,7 +172,8 @@ class BetaScan:
 
 @dataclass(frozen=True, eq=False)
 class ScalingResult:
-    """Everything the finite-time scaling pipeline concludes."""
+    """Everything the finite-time scaling pipeline concludes; t_min starts
+    the scaling window the collapse ran on (t >= t_min)."""
 
     beta: float
     xi: dict
@@ -192,6 +193,7 @@ class ScalingResult:
     p_c_bounds: tuple | None = None
     collapse: CollapseResult | None = None
     growth: GrowthFit | None = None
+    t_min: float | None = None
 
     def __post_init__(self):
         if any(v <= 0 for v in self.xi.values()):
@@ -302,31 +304,47 @@ def _interpolant(c: RescaledCurve):
     return fn
 
 
-def _pair_mismatch(c1: RescaledCurve, c2: RescaledCurve, s1: float, s2: float):
+def _pair_mismatch(c1: RescaledCurve, c2: RescaledCurve, s1: float, s2):
     """(sum of squared y-deviations, sample count, overlap length) over the
-    x-overlap; sq is None when the overlap holds no samples, with the gap
-    size in the second slot."""
+    x-overlap of c1 shifted by s1 and c2 shifted by s2.
+
+    s2 is one shift or a 1-D array of them.  An array is scored in one
+    pass, with (shifts x samples) overlap masks and one interpolant call
+    per curve, and every slot is then an array over s2.  sq is None (NaN
+    in an array) when the overlap holds no samples, with count 0; the
+    overlap length is negative when the curves are disjoint.
+    """
+    shifts = np.atleast_1d(np.asarray(s2, dtype=float))
+    n = shifts.size
     x1 = c1.x + s1
-    x2 = c2.x + s2
-    lo = max(x1[0], x2[0])
-    hi = min(x1[-1], x2[-1])
-    if hi <= lo:
-        return None, lo - hi, hi - lo
-    m1 = (x1 >= lo) & (x1 <= hi)
-    m2 = (x2 >= lo) & (x2 <= hi)
-    sq = 0.0
-    cnt = 0
-    if np.any(m1):
-        d = c1.y[m1] - _interpolant(c2)(x1[m1] - s2)
-        sq += float(np.sum(d * d))
-        cnt += int(m1.sum())
-    if np.any(m2):
-        d = c2.y[m2] - _interpolant(c1)(x2[m2] - s1)
-        sq += float(np.sum(d * d))
-        cnt += int(m2.sum())
-    if cnt == 0:
-        return None, 0.0, hi - lo
-    return sq, cnt, hi - lo
+    lo = np.maximum(x1[0], c2.x[0] + shifts)
+    hi = np.minimum(x1[-1], c2.x[-1] + shifts)
+    ov = hi - lo
+    hi[ov <= 0] = -np.inf   # no sample counts where the curves only touch or are disjoint
+    sq = np.zeros(n)
+    cnt = np.zeros(n, dtype=int)
+    # one curve's samples at a time, against the other curve's interpolant,
+    # so that only one (shifts x samples) set of arrays is alive at once
+    for x, y, other, back in ((np.broadcast_to(x1, (n, x1.size)), c1.y, c2, shifts),
+                              (c2.x + shifts[:, None], c2.y, c1, np.full(n, s1))):
+        rows, cols = np.nonzero((x >= lo[:, None]) & (x <= hi[:, None]))
+        d = y[cols] - _interpolant(other)(x[rows, cols] - back[rows])
+        sq += np.bincount(rows, d * d, minlength=n)
+        cnt += np.bincount(rows, minlength=n)
+    sq[cnt == 0] = np.nan
+    if np.ndim(s2) == 0:
+        return (None if cnt[0] == 0 else float(sq[0])), int(cnt[0]), float(ov[0])
+    return sq, cnt, ov
+
+
+def _pair_cost(delta, c1: RescaledCurve, c2: RescaledCurve, min_ov: float):
+    """Pair mismatch at shift difference delta (one value or a 1-D array)
+    plus a barrier that keeps the pair in contact over at least min_ov,
+    scaled to dominate any in-overlap mismatch."""
+    sq, _, ov = _pair_mismatch(c1, c2, 0.0, np.atleast_1d(delta))
+    deficit = np.maximum(0.0, min_ov - ov)
+    cost = np.where(np.isnan(sq), 1e6 * (1.0 + (min_ov - ov) ** 2), sq + 1e6 * deficit * deficit)
+    return cost if np.ndim(delta) else float(cost[0])
 
 
 def collapse(curves: list[RescaledCurve]) -> CollapseResult:
@@ -347,10 +365,12 @@ def collapse(curves: list[RescaledCurve]) -> CollapseResult:
     between, so the search runs over those smooth pieces: each is probed
     at its lower cut, just inside both ends and at its middle, and a
     bounded scalar search polishes the three pieces with the lowest
-    probes.  The shifts are
-    the cumulative sums of the deltas, with the lowest-p curve the fixed
-    reference.  A pair bracketing a transition, whose mismatch no shift
-    can reconcile, therefore moves no other pair's delta;
+    probes.  _pair_mismatch scores all probes of a pair in one batched
+    call, each polish step and the final pair_stats; _pair_cost adds the
+    overlap floor as a barrier for the probes and the polish.  The shifts
+    are the cumulative sums of the deltas, with the lowest-p curve the
+    fixed reference.  A pair bracketing a transition, whose mismatch no
+    shift can reconcile, therefore moves no other pair's delta;
     trimmed_residual names it afterwards.  Deterministic given the data.
     """
     from scipy.optimize import minimize_scalar
@@ -369,31 +389,21 @@ def collapse(curves: list[RescaledCurve]) -> CollapseResult:
     pair_stats = {}
     for c1, c2 in zip(curves, curves[1:]):
         min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
-
-        # barrier keeps the pair in contact over at least half the shorter
-        # span; scaled to dominate any in-overlap mismatch
-        def cost(delta, c1=c1, c2=c2, min_ov=min_ov):
-            sq, _, ov = _pair_mismatch(c1, c2, 0.0, delta)
-            if sq is None:
-                return 1e6 * (1.0 + (min_ov - ov) ** 2)
-            deficit = max(0.0, min_ov - ov)
-            return sq + 1e6 * deficit * deficit
-
         # the cost jumps wherever a sample enters or leaves the overlap and
         # is smooth in between: probe each smooth piece at its lower cut,
-        # just inside both ends and at its middle, then polish inside the
-        # three best pieces
+        # just inside both ends and at its middle, all in one batched call,
+        # then polish inside the three best pieces
         cuts = np.concatenate([c1.x - c2.x[0], c1.x - c2.x[-1], c1.x[0] - c2.x, c1.x[-1] - c2.x])
         edges = np.unique(np.concatenate([[-span, span], cuts[np.abs(cuts) < span]]))
         lo, hi = edges[:-1], edges[1:]
         inset = 1e-9 * (hi - lo)
         probes = np.stack([lo, lo + inset, 0.5 * (lo + hi), hi - inset])
-        values = np.array([[cost(d) for d in row] for row in probes])
+        values = _pair_cost(probes.ravel(), c1, c2, min_ov).reshape(probes.shape)
         best = np.unravel_index(np.argmin(values), values.shape)
         delta, value = probes[best], values[best]
         for k in np.argsort(values.min(axis=0))[:3]:
-            res = minimize_scalar(cost, bounds=(lo[k], hi[k]), method="bounded",
-                                  options={"xatol": 1e-12})
+            res = minimize_scalar(_pair_cost, bounds=(lo[k], hi[k]), args=(c1, c2, min_ov),
+                                  method="bounded", options={"xatol": 1e-12})
             if res.fun < value:
                 delta, value = res.x, res.fun
         sq, cnt, _ = _pair_mismatch(c1, c2, 0.0, delta)
@@ -461,6 +471,35 @@ def _xi_inner_fit(ps: np.ndarray, inv_xi: np.ndarray, p_c: float, nu: float):
     return coef[0], coef[1], rnorm**2
 
 
+def _xi_residuals(theta, ps, log_vals, below) -> np.ndarray:
+    """ln gamma [below] - log(A |p - p_c|^nu + B) - log xi at theta =
+    (A, B, nu, p_c[, ln gamma]); gamma = 1 without a fifth parameter."""
+    a, b, nu, pc = theta[:4]
+    lng = theta[4] if len(theta) > 4 else 0.0
+    return lng * below - np.log(a * np.abs(ps - pc) ** nu + b) - log_vals
+
+
+def _xi_jacobian(theta, ps, log_vals, below) -> np.ndarray:
+    """Derivatives of _xi_residuals by theta, one row per p.
+
+    At a sampled p equal to p_c, Delta = p - p_c = 0 and |Delta|^(nu-1)
+    diverges, so the nu and p_c entries of that row are set to 0:
+    |Delta|^nu ln|Delta| tends to 0, and 0 is the symmetric value of the
+    p_c slope, which is +-inf from the two sides when nu < 1.
+    """
+    a, b, nu, pc = theta[:4]
+    delta = ps - pc
+    u = np.abs(delta) ** nu
+    # 1 where Delta = 0, so that u = 0 alone zeroes the nu and p_c entries
+    mag = np.where(delta == 0.0, 1.0, np.abs(delta))
+    denom = a * u + b
+    cols = [-u / denom, -1.0 / denom, -a * u * np.log(mag) / denom,
+            a * nu * np.sign(delta) * u / mag / denom]
+    if len(theta) > 4:
+        cols.append(below.astype(float))
+    return np.column_stack(cols)
+
+
 def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
     """Fit log xi = ln gamma [i < k] - log(A |p - p_c|^nu + B), one gap k at a time.
 
@@ -470,8 +509,10 @@ def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
     ln gamma in {0, 1, 2, 3} when gauged, with (A, B, nu) seeded by the
     linear inner fit on the gamma-corrected factors; the 3 starts of least
     initial cost are polished.  A given start (A, B, nu, p_c[, ln gamma])
-    replaces the multi-start.  Only polishes that converge count, and
-    FitError is raised when none does.  The gap of least cost wins;
+    replaces the multi-start.  Every polish gets the analytic Jacobian
+    (_xi_jacobian, defined where p_c sits on a sampled p too) instead of
+    finite differences.  Only polishes that converge count, and FitError
+    is raised when none does.  The gap of least cost wins;
     standard errors come from the Jacobian there and are NaN when the fit
     has no degrees of freedom left.
     """
@@ -488,12 +529,7 @@ def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
     best, best_k = None, None
     for k in gaps:
         below = np.arange(ps.size) < k
-
-        def residuals(theta, below=below):
-            a, b, nu, pc = theta[:4]
-            lng = theta[4] if gauged else 0.0
-            return lng * below - np.log(a * np.abs(ps - pc) ** nu + b) - log_vals
-
+        args = (ps, log_vals, below)
         starts = [start]
         if start is None:
             scored = []
@@ -505,15 +541,15 @@ def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
                                             options={"xatol": 1e-8})
                     a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
                     x0 = [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0][:n_par]
-                    scored.append((float(np.sum(residuals(np.array(x0)) ** 2)), x0))
+                    scored.append((float(np.sum(_xi_residuals(np.array(x0), *args) ** 2)), x0))
             scored.sort(key=lambda row: row[0])
             starts = [x0 for _, x0 in scored[:3]]
         bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0][:n_par],
                   [np.inf, np.inf, 10.0, ps[k], 5.0][:n_par])
         for x0 in starts:
             try:
-                res = least_squares(residuals, x0, bounds=bounds,
-                                    xtol=1e-15, ftol=1e-15, gtol=1e-15)
+                res = least_squares(_xi_residuals, x0, jac=_xi_jacobian, bounds=bounds,
+                                    args=args, xtol=1e-15, ftol=1e-15, gtol=1e-15)
             except ValueError:  # non-finite residuals at x0; LinAlgError is one too
                 continue
             converged = res.success or res.cost < 1e-20
@@ -720,4 +756,5 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
         fit_A=fit.A, fit_B=fit.B, nu=fit.nu, p_c=fit.p_c, std_err=fit.std_err,
         s=s_val, wegner_dimension_check=2.0 + s_val / fit.nu, alpha=growth.alpha,
         beta_residuals=scan.residuals, pooled=coll.pooled, bootstrap=boot,
-        branch_gauge=fit.gamma, p_c_bounds=fit.gap, collapse=coll, growth=growth)
+        branch_gauge=fit.gamma, p_c_bounds=fit.gap, collapse=coll, growth=growth,
+        t_min=eff_t_min)

@@ -340,10 +340,11 @@ class TestSynthCommand:
 class TestScaleCommand:
     def test_report_key_contract(self, planted_family):
         report = planted_family["report"]
-        assert set(report) == {"alpha", "alpha_K", "growth", "beta", "beta_scan",
+        assert set(report) == {"alpha", "alpha_K", "growth", "collapse", "beta", "beta_scan",
                                "xi", "fit", "residuals", "wegner_dimension_check",
                                "anchor_p", "bootstrap", "n_curves", "config_digest"}
         assert set(report["growth"]) == {"r2", "t_min", "n_points"}
+        assert report["collapse"] == {"t_min": 2.0}
         assert set(report["fit"]) == {"A", "B", "nu", "p_c", "p_c_bounds", "s", "branch_gauge",
                                       "std_err"}
         lo, hi = report["fit"]["p_c_bounds"]
@@ -442,6 +443,20 @@ class TestPlotCommand:
         assert 'stroke-dasharray="5,4"' in xi_fit
         for name in names:
             ET.fromstring((tmp_path / name).read_text(encoding="utf-8"))
+
+    def test_rescaled_curves_start_at_the_collapse_window(self, planted_family, tmp_path):
+        # the growth fit's window starts at t >= 40, the collapse's at
+        # scale.t_min = 2: the rescaled figure must show what was collapsed,
+        # 26 of 30 grid points per curve, the same rows as pooled.csv
+        report_path = planted_family["scale_out"] / "report.json"
+        config = RunConfig.parse(f"plot.input_dir = {planted_family['synth_dir']}\n"
+                                 f"plot.report = {report_path}\n")
+        cmd_plot(config, tmp_path)
+        root = ET.fromstring((tmp_path / "rescaled.svg").read_text(encoding="utf-8"))
+        lines = [el for el in root.iter() if el.tag.rsplit("}", 1)[-1] == "polyline"]
+        assert [len(el.get("points").split()) for el in lines] == [26] * 7
+        rows = sqio.read_pooled_csv(planted_family["scale_out"] / "pooled.csv")
+        assert len(rows) == 26 * 7
 
     def test_collapsed_needs_pooled_next_to_report(self, planted_family, tmp_path):
         lonely = tmp_path / "lonely"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinquench import scaling
 from spinquench.errors import (
     CollapseError,
     FitError,
@@ -29,7 +30,10 @@ from spinquench.scaling import (
     RescaledCurve,
     ScalingFunctionSample,
     ScalingResult,
+    _pair_cost,
     _pair_mismatch,
+    _xi_jacobian,
+    _xi_residuals,
     beta_scan,
     bootstrap_fit_xi,
     collapse,
@@ -315,6 +319,61 @@ class TestSeparableCollapse:
             assert got <= floor * (1.0 + 1e-9) + 1e-15
 
 
+class TestBatchedPairCost:
+    """One _pair_mismatch call scores a whole array of shift differences;
+    each entry must equal the per-delta reference built from scalar calls.
+    """
+
+    @staticmethod
+    def check(c1, c2, deltas):
+        min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
+        ref = np.array([TestSeparableCollapse.pair_cost(c1, c2, d) for d in deltas])
+        np.testing.assert_allclose(_pair_cost(deltas, c1, c2, min_ov), ref, rtol=1e-15, atol=0)
+        sq, cnt, ov = _pair_mismatch(c1, c2, 0.0, deltas)
+        for i, d in enumerate(deltas):
+            sq_i, cnt_i, ov_i = _pair_mismatch(c1, c2, 0.0, d)
+            assert (cnt[i], ov[i]) == (cnt_i, ov_i)
+            if sq_i is None:
+                assert math.isnan(sq[i]) and cnt_i == 0
+            else:
+                assert sq[i] == pytest.approx(sq_i, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("beta", [0.58, 1.0, 6.6])
+    def test_every_collapse_probe(self, noiseless_family, beta, monkeypatch):
+        trajs, growth, _, _ = noiseless_family
+        curves = rescale(trajs, growth, beta=beta, t_min=2.0)
+        batches = []
+
+        def recording(c1, c2, s1, s2):
+            if np.size(s2) > 1:  # the probes; each polish step scores one delta
+                batches.append((c1, c2, np.array(s2)))
+            return _pair_mismatch(c1, c2, s1, s2)
+
+        monkeypatch.setattr(scaling, "_pair_mismatch", recording)
+        collapse(curves)
+        monkeypatch.undo()
+        assert [(c1.p, c2.p) for c1, c2, _ in batches] == [
+            (c1.p, c2.p) for c1, c2 in zip(curves, curves[1:])]
+        for c1, c2, deltas in batches:
+            self.check(c1, c2, deltas)
+
+    def test_short_curve_and_empty_overlaps(self):
+        # 3 points: linear interpolation (np.interp) instead of the spline.
+        # A positive-length overlap always holds an end sample of one
+        # curve, so the overlaps without samples are the zero-length ones
+        # where the curves touch: delta = 2.5 and -3.0 exactly
+        (long,) = translated_curves([0.0])
+        short = RescaledCurve(p=0.2, x=np.array([-0.5, 0.25, 1.0]), y=np.array([0.3, -0.1, 0.2]),
+                              k1=1.0, k2_prime=0.5)
+        touching = [2.5, -3.0]
+        disjoint = [-10.0, -3.5, 2.75, 10.0]
+        deltas = np.array(touching + disjoint + np.linspace(-2.9, 2.4, 53).tolist())
+        for d in touching + disjoint:
+            assert _pair_mismatch(long, short, 0.0, d)[0] is None
+        self.check(long, short, deltas)
+        self.check(short, long, -deltas)
+
+
 class TestTwoBranchCollapse:
     """Shift structure of a family bracketing the transition.
 
@@ -517,6 +576,55 @@ class TestXiFit:
         for fitter in XI_FITTERS:
             with pytest.raises(FitError, match="positive"):
                 fitter({p: v for p, v in zip(P_LIST, [1.0, 2.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])})
+
+
+class TestXiJacobian:
+    """The xi fit's analytic Jacobian against central differences."""
+
+    @staticmethod
+    def args(k):
+        ps = np.array(P_LIST)
+        return ps, np.log([planted_xi(p) for p in ps]), np.arange(ps.size) < k
+
+    @staticmethod
+    def central(theta, args, h=1e-6):
+        cols = []
+        for j in range(theta.size):
+            step = h * max(abs(theta[j]), 1e-2)
+            up, down = theta.copy(), theta.copy()
+            up[j] += step
+            down[j] -= step
+            cols.append((_xi_residuals(up, *args) - _xi_residuals(down, *args)) / (2.0 * step))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("gauged", [False, True])
+    def test_matches_central_differences(self, gauged):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            k = int(rng.integers(1, len(P_LIST)))
+            args = self.args(k)
+            lo, hi = args[0][k - 1], args[0][k]
+            theta = np.array([rng.uniform(0.1, 2.0), rng.uniform(0.01, 0.5), rng.uniform(0.2, 2.0),
+                              rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)),
+                              rng.uniform(-1.0, 1.0)][:5 if gauged else 4])
+            jac = _xi_jacobian(theta, *args)
+            assert jac.shape == (len(P_LIST), theta.size)
+            np.testing.assert_allclose(jac, self.central(theta, args), rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("gauged", [False, True])
+    def test_finite_with_p_c_on_a_sample(self, gauged):
+        # Delta = 0 on row 3: its nu and p_c entries are 0 by definition,
+        # the other rows keep their derivatives
+        args = self.args(4)
+        for nu in (0.4205, 1.0, 1.7):
+            theta = np.array([0.58, 0.05, nu, P_LIST[3], 0.3][:5 if gauged else 4])
+            with np.errstate(all="raise"):
+                jac = _xi_jacobian(theta, *args)
+            assert np.all(np.isfinite(jac))
+            assert jac[3, 2] == 0.0 and jac[3, 3] == 0.0
+            others = np.arange(len(P_LIST)) != 3
+            np.testing.assert_allclose(jac[others], self.central(theta, args)[others],
+                                       rtol=1e-6, atol=1e-6)
 
 
 class TestXiFitLockOn:
