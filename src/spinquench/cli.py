@@ -1,5 +1,8 @@
 """Command-line entry point.
 
+Every command takes only --config and --out: the config file is the one
+input to the numbers a run writes, so its digest identifies them.
+
 Exit codes: 0 success, 2 configuration problems (bad config file,
 missing inputs, capacity limits), 3 numerical failures (non-convergence,
 infeasible collapse, failed fits). Anything else is a bug and escapes
@@ -30,14 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("simulate", help="evolve trajectories for a p sweep"))
     common(sub.add_parser("synth", help="generate synthetic trajectories"))
-    scale = sub.add_parser("scale", help="collapse trajectories and fit xi(p)")
-    common(scale)
-    scale.add_argument("--beta-grid", default=None,
-                       help="comma-separated beta values to scan")
-    scale.add_argument("--anchor-p", type=float, default=None,
-                       help="p whose plateau normalizes xi")
-    scale.add_argument("--t-min", type=float, default=None,
-                       help="earliest time entering the collapse window")
+    common(sub.add_parser("scale", help="collapse trajectories and fit xi(p)"))
     common(sub.add_parser("plot", help="render SVG figures"))
     return parser
 
@@ -65,19 +61,10 @@ def main(argv=None) -> int:
             print(f"synth: {len(summary['written'])} trajectories, "
                   f"digest {summary['config_digest']}")
         elif args.command == "scale":
-            beta_grid = None
-            if args.beta_grid is not None:
-                try:
-                    beta_grid = [float(tok) for tok in args.beta_grid.split(",") if tok.strip()]
-                except ValueError:
-                    raise ConfigError(f"bad --beta-grid: {args.beta_grid!r}") from None
-                if not beta_grid:
-                    raise ConfigError("--beta-grid is empty")
-            summary = cmd_scale(config, out, beta_grid=beta_grid,
-                                anchor_p=args.anchor_p, t_min=args.t_min)
+            summary = cmd_scale(config, out)
             result = summary["result"]
-            print(f"scale: beta = {result.beta:g}, p_c = {result.p_c:.6g}, "
-                  f"nu = {result.nu:.6g}, report at {summary['report']}")
+            print(f"scale: beta = {result.scan.best_beta:g}, p_c = {result.fit.p_c:.6g}, "
+                  f"nu = {result.fit.nu:.6g}, report at {summary['report']}")
         elif args.command == "plot":
             summary = cmd_plot(config, out)
             print(f"plot: {len(summary['written'])} figures in {out}")

@@ -28,12 +28,19 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
+def _parse_list(raw: str, kind) -> list:
+    values = [kind(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
 def _parse_float_list(raw: str) -> list:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    return _parse_list(raw, float)
 
 
 def _parse_int_list(raw: str) -> list:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    return _parse_list(raw, int)
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -51,10 +58,7 @@ def _parse_grid(raw: str) -> np.ndarray:
         if kind == "geomint":
             grid = np.unique(np.rint(grid)).astype(float)
         return grid
-    values = np.array(_parse_float_list(raw))
-    if values.size < 1:
-        raise ValueError("empty grid")
-    return values
+    return np.array(_parse_float_list(raw))
 
 
 #: key -> parser; parsing validates, access re-parses the stored raw string

@@ -206,47 +206,40 @@ def load_input_trajectories(config: RunConfig, key: str = "scale.input_dir") -> 
     return [_combine_seeds(groups[p]) for p in sorted(groups)]
 
 
-def cmd_scale(config: RunConfig, out_dir, beta_grid=None, anchor_p=None,
-              t_min=None) -> dict:
+def cmd_scale(config: RunConfig, out_dir) -> dict:
     """Full scaling analysis of a trajectory directory; writes report.json
-    and pooled.csv. CLI flags override the matching config keys."""
+    and pooled.csv.  Every number in them comes from the config, so its
+    digest identifies the report."""
     out = _ensure_outdir(out_dir)
     combined = load_input_trajectories(config)
     if len(combined) < 3:
         raise ConfigError(f"collapse needs >= 3 curves at distinct p, "
                           f"found {len(combined)} (p={[tr.p for tr in combined]})")
-    if beta_grid is None:
-        beta_grid = config.get("scale.beta_grid")
-    if anchor_p is None:
-        anchor_p = config.get("scale.anchor_p", max(tr.p for tr in combined))
-    if t_min is None:
-        t_min = config.get("scale.t_min")
-
+    anchor_p = config.get("scale.anchor_p", max(tr.p for tr in combined))
     result = full_scaling_analysis(
-        combined, anchor_p=anchor_p, beta_grid=beta_grid, t_min=t_min,
-        growth_t_min=config.get("scale.growth_t_min"),
+        combined, anchor_p=anchor_p, beta_grid=config.get("scale.beta_grid"),
+        t_min=config.get("scale.t_min"), growth_t_min=config.get("scale.growth_t_min"),
         n_bootstrap=config.get("scale.n_bootstrap", 100),
         bootstrap_seed=config.get("scale.bootstrap_seed", 0))
-    growth = result.growth
+    growth, scan, fit = result.growth, result.scan, result.fit
 
     report = {
-        "alpha": result.alpha,
+        "alpha": growth.alpha,
         "alpha_K": growth.alpha_K,
         "growth": {"r2": growth.r2, "t_min": growth.t_min, "n_points": growth.n_points},
         "collapse": {"t_min": result.t_min},
-        "beta": result.beta,
-        "beta_scan": [{"beta": b, "residual": r}
-                      for b, r in sorted(result.beta_residuals.items())],
+        "beta": scan.best_beta,
+        "beta_scan": [{"beta": b, "residual": r} for b, r in sorted(scan.residuals.items())],
         "xi": [{"p": p, "xi": x} for p, x in sorted(result.xi.items())],
-        "fit": {"A": result.fit_A, "B": result.fit_B, "nu": result.nu,
-                "p_c": result.p_c, "p_c_bounds": list(result.p_c_bounds), "s": result.s,
-                "branch_gauge": result.branch_gauge, "std_err": result.std_err},
-        "residuals": {"collapse": result.collapse_residual,
-                      "beta_scan": result.beta_residuals[result.beta],
+        "fit": {"A": fit.A, "B": fit.B, "nu": fit.nu, "p_c": fit.p_c,
+                "p_c_bounds": list(fit.gap), "s": result.s, "branch_gauge": fit.gamma,
+                "std_err": fit.std_err},
+        "residuals": {"collapse": scan.best.residual,
+                      "beta_scan": scan.residuals[scan.best_beta],
                       "pairs": [{"p_lo": lo, "p_hi": hi, "rms": math.sqrt(sq / n), "n": n}
-                                for (lo, hi), (sq, n) in result.collapse.pair_stats.items()],
-                      "excluded_pair": result.collapse.excluded_pair()},
-        "wegner_dimension_check": result.wegner_dimension_check,
+                                for (lo, hi), (sq, n) in scan.best.pair_stats.items()],
+                      "excluded_pair": scan.best.excluded_pair()},
+        "wegner_dimension_check": 2.0 + result.s / fit.nu,
         "anchor_p": float(anchor_p),
         "bootstrap": result.bootstrap,
         "n_curves": len(combined),
@@ -254,7 +247,7 @@ def cmd_scale(config: RunConfig, out_dir, beta_grid=None, anchor_p=None,
     }
     report_path = out / "report.json"
     sqio.write_report_json(report_path, _jsonable(report))
-    sqio.write_pooled_csv(out / "pooled.csv", result.pooled)
+    sqio.write_pooled_csv(out / "pooled.csv", scan.best.pooled)
     return {"report": str(report_path), "pooled": str(out / "pooled.csv"),
             "result": result}
 

@@ -28,8 +28,8 @@ Synthetic families generated by synth_trajectories plant a known
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +55,17 @@ class GrowthFit:
     """Power-law fit K^{2/3} = D t^alpha over the asserted long-time window."""
 
     alpha: float
-    alpha_K: float
     D: float
     t_min: float
     r2: float
     n_points: int
 
+    @property
+    def alpha_K(self) -> float:
+        """Growth exponent of K itself."""
+        return 1.5 * self.alpha
+
     def __post_init__(self):
-        if abs(self.alpha_K - 1.5 * self.alpha) > 1e-12 * max(1.0, abs(self.alpha_K)):
-            raise ValueError("alpha_K must equal 1.5 * alpha")
         if self.n_points < 5:
             raise ValueError("growth fit window must contain at least 5 points")
 
@@ -87,6 +89,20 @@ class RescaledCurve:
             raise ValueError("x must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+
+    @functools.cached_property
+    def interpolant(self):
+        """Cubic interpolant of the curve in its own (unshifted) coordinates.
+
+        Cubic rather than linear: the scaling function bends through the
+        crossover, and linear interpolation on a log grid biases the shift
+        optimum by O(grid spacing squared).  Curves of fewer than 4 points
+        are interpolated linearly.
+        """
+        if self.x.size >= 4:
+            from scipy.interpolate import CubicSpline
+            return CubicSpline(self.x, self.y)
+        return functools.partial(np.interp, xp=self.x, fp=self.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,36 +188,24 @@ class BetaScan:
 
 @dataclass(frozen=True, eq=False)
 class ScalingResult:
-    """Everything the finite-time scaling pipeline concludes; t_min starts
-    the scaling window the collapse ran on (t >= t_min)."""
+    """The stage results of the finite-time scaling pipeline.
 
-    beta: float
+    scan.best is the winning collapse, fit the gauged xi fit and xi the
+    gauge-corrected factors it describes; t_min starts the scaling window
+    the collapse ran on (t >= t_min); bootstrap is None when disabled.
+    """
+
+    growth: GrowthFit
+    scan: BetaScan
+    fit: XiFit
     xi: dict
-    collapse_residual: float
-    fit_A: float
-    fit_B: float
-    nu: float
-    p_c: float
-    std_err: dict
-    s: float
-    wegner_dimension_check: float
-    alpha: float
-    beta_residuals: dict
-    pooled: ScalingFunctionSample
-    bootstrap: dict | None = None
-    branch_gauge: float = 1.0
-    p_c_bounds: tuple | None = None
-    collapse: CollapseResult | None = None
-    growth: GrowthFit | None = None
-    t_min: float | None = None
+    t_min: float
+    bootstrap: dict | None
 
-    def __post_init__(self):
-        if any(v <= 0 for v in self.xi.values()):
-            raise ValueError("all scaling factors must be positive")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if abs(self.s - self.beta * self.nu) > 1e-12 * max(1.0, abs(self.s)):
-            raise ValueError("s must equal beta * nu")
+    @property
+    def s(self) -> float:
+        """Exponent s = beta * nu."""
+        return self.scan.best_beta * self.fit.nu
 
 
 def _loglog_slopes(times: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -252,8 +256,8 @@ def fit_growth_exponent(traj: ClusterTrajectory, t_min: float | None = None) -> 
     resid = y - (alpha * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return GrowthFit(alpha=float(alpha), alpha_K=1.5 * float(alpha), D=float(np.exp(intercept)),
-                     t_min=float(t[start]), r2=r2, n_points=end - start)
+    return GrowthFit(alpha=float(alpha), D=float(np.exp(intercept)), t_min=float(t[start]),
+                     r2=r2, n_points=end - start)
 
 
 def scaling_exponents(alpha: float, beta: float) -> tuple[float, float]:
@@ -283,27 +287,6 @@ def rescale(trajs: list[ClusterTrajectory], growth: GrowthFit, beta: float,
     return curves
 
 
-_CURVE_INTERPOLANTS = weakref.WeakKeyDictionary()
-
-
-def _interpolant(c: RescaledCurve):
-    """Cubic interpolant of a curve in its own (unshifted) coordinates.
-
-    Cubic rather than linear: the scaling function bends through the
-    crossover, and linear interpolation on a log grid biases the shift
-    optimum by O(grid spacing squared).
-    """
-    fn = _CURVE_INTERPOLANTS.get(c)
-    if fn is None:
-        if c.x.size >= 4:
-            from scipy.interpolate import CubicSpline
-            fn = CubicSpline(c.x, c.y)
-        else:
-            fn = lambda u, x=c.x, y=c.y: np.interp(u, x, y)
-        _CURVE_INTERPOLANTS[c] = fn
-    return fn
-
-
 def _pair_mismatch(c1: RescaledCurve, c2: RescaledCurve, s1: float, s2):
     """(sum of squared y-deviations, sample count, overlap length) over the
     x-overlap of c1 shifted by s1 and c2 shifted by s2.
@@ -328,7 +311,7 @@ def _pair_mismatch(c1: RescaledCurve, c2: RescaledCurve, s1: float, s2):
     for x, y, other, back in ((np.broadcast_to(x1, (n, x1.size)), c1.y, c2, shifts),
                               (c2.x + shifts[:, None], c2.y, c1, np.full(n, s1))):
         rows, cols = np.nonzero((x >= lo[:, None]) & (x <= hi[:, None]))
-        d = y[cols] - _interpolant(other)(x[rows, cols] - back[rows])
+        d = y[cols] - other.interpolant(x[rows, cols] - back[rows])
         sq += np.bincount(rows, d * d, minlength=n)
         cnt += np.bincount(rows, minlength=n)
     sq[cnt == 0] = np.nan
@@ -740,21 +723,14 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     growth = fit_growth_exponent(trajs[0], t_min=growth_t_min)
     eff_t_min = growth.t_min if t_min is None else t_min
     scan = beta_scan(trajs, growth, beta_grid, eff_t_min)
-    coll = scan.best
     anchor_traj = next((tr for tr in trajs if abs(tr.p - anchor_p) <= 1e-9 * max(1.0, abs(anchor_p))), None)
     if anchor_traj is None:
         raise ValueError(f"anchor p={anchor_p} has no trajectory (have {[tr.p for tr in trajs]})")
     k_loc = estimate_k_loc(anchor_traj)
-    xi = normalize_xi(coll.xi_raw, anchor_p, k_loc)
+    xi = normalize_xi(scan.best.xi_raw, anchor_p, k_loc)
     fit = fit_xi_branch_gauged(xi)
     xi_fitted = {p: v / fit.gamma if p < fit.gap[1] else v for p, v in xi.items()}
     boot = (bootstrap_fit_xi(xi, fit, n_resamples=n_bootstrap, seed=bootstrap_seed)
             if n_bootstrap > 0 else None)
-    s_val = scan.best_beta * fit.nu
-    return ScalingResult(
-        beta=scan.best_beta, xi=xi_fitted, collapse_residual=coll.residual,
-        fit_A=fit.A, fit_B=fit.B, nu=fit.nu, p_c=fit.p_c, std_err=fit.std_err,
-        s=s_val, wegner_dimension_check=2.0 + s_val / fit.nu, alpha=growth.alpha,
-        beta_residuals=scan.residuals, pooled=coll.pooled, bootstrap=boot,
-        branch_gauge=fit.gamma, p_c_bounds=fit.gap, collapse=coll, growth=growth,
-        t_min=eff_t_min)
+    return ScalingResult(growth=growth, scan=scan, fit=fit, xi=xi_fitted, t_min=eff_t_min,
+                         bootstrap=boot)

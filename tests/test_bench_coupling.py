@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from spinquench.evolution import Propagator, _apply_mixed_array
+from spinquench.io import atomic_write_text
+from spinquench.scaling import bootstrap_fit_xi
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +37,10 @@ def test_hooked_signatures_keep_their_arguments():
     # hook reads the block as the third positional argument
     assert list(inspect.signature(Propagator._exp).parameters) == ["self", "amp", "p", "duration"]
     assert list(inspect.signature(_apply_mixed_array).parameters)[2] == "v"
+
+
+def test_bootstrap_and_write_hooks_keep_their_arguments():
+    # the bootstrap hook binds the call's arguments and reads n_resamples
+    # by name; the write hook reads the text as the second positional one
+    assert "n_resamples" in inspect.signature(bootstrap_fit_xi).parameters
+    assert list(inspect.signature(atomic_write_text).parameters)[1] == "text"

@@ -399,15 +399,30 @@ class TestScaleCommand:
         assert len(rows) == 7 * 26
         assert {p for _, _, p in rows} == {0.01, 0.02, 0.03, 0.04, 0.07, 0.09, 0.12}
 
-    def test_flag_arguments_override_config(self, planted_family):
-        out = planted_family["root"] / "override"
-        summary = cmd_scale(planted_family["scale_cfg"], out,
-                            beta_grid=[1.0], anchor_p=0.09, t_min=3.0)
+    def test_grid_anchor_and_window_come_from_config_keys(self, planted_family):
+        out = planted_family["root"] / "keys"
+        config = RunConfig.parse(SYNTH_FAMILY + f"scale.input_dir = {planted_family['synth_dir']}\n"
+                                 "scale.beta_grid = 1.0\nscale.anchor_p = 0.09\n"
+                                 "scale.t_min = 3.0\nscale.growth_t_min = 40.0\n"
+                                 "scale.n_bootstrap = 0\n")
+        summary = cmd_scale(config, out)
         report = sqio.read_report_json(summary["report"])
         assert report["anchor_p"] == 0.09
         assert [row["beta"] for row in report["beta_scan"]] == [1.0]
         # t >= 3 keeps 24 of 30 grid points per curve
         assert len(sqio.read_pooled_csv(out / "pooled.csv")) == 7 * 24
+
+    def test_report_stamped_with_the_digest_of_its_config(self, planted_family, tmp_path):
+        cfg = write_cfg(tmp_path, SYNTH_FAMILY
+                        + f"scale.input_dir = {planted_family['synth_dir']}\n"
+                        + "scale.beta_grid = 1.0, 0.0\nscale.t_min = 2.0\n"
+                        + "scale.growth_t_min = 40.0\nscale.n_bootstrap = 0\n")
+        assert main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = sqio.read_report_json(tmp_path / "out" / "report.json")
+        config = RunConfig.load(cfg)
+        assert report["config_digest"] == config.digest()
+        assert sorted(row["beta"] for row in report["beta_scan"]) == sorted(
+            config.get("scale.beta_grid"))
 
     def test_too_few_distinct_p_rejected(self, tmp_path):
         for p in (0.1, 0.2):
@@ -503,12 +518,18 @@ class TestCliExitCodes:
     def test_scale_success_summary(self, planted_family, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SYNTH_FAMILY
                         + f"scale.input_dir = {planted_family['synth_dir']}\n"
-                        + "scale.t_min = 2.0\nscale.growth_t_min = 40.0\n"
-                        + "scale.n_bootstrap = 0\n")
-        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                   "--beta-grid", "1.0"])
+                        + "scale.beta_grid = 1.0\nscale.t_min = 2.0\n"
+                        + "scale.growth_t_min = 40.0\nscale.n_bootstrap = 0\n")
+        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 0
         assert "beta = 1" in capsys.readouterr().out
+
+    def test_scale_takes_no_override_flags(self, planted_family, tmp_path):
+        cfg = write_cfg(tmp_path, f"scale.input_dir = {planted_family['synth_dir']}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["scale", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--beta-grid", "1.0"])
+        assert exc.value.code == 2
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["synth", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -550,18 +571,23 @@ class TestCliExitCodes:
         assert not ignored.exists()
 
     def test_malformed_beta_grid(self, planted_family, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, f"scale.input_dir = {planted_family['synth_dir']}\n")
-        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                   "--beta-grid", "1.0,zap"])
+        cfg = write_cfg(tmp_path, f"scale.input_dir = {planted_family['synth_dir']}\n"
+                        "scale.beta_grid = 1.0, zap\n")
+        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "bad --beta-grid" in capsys.readouterr().err
+        assert "bad value for scale.beta_grid" in capsys.readouterr().err
 
-    def test_empty_beta_grid(self, planted_family, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, f"scale.input_dir = {planted_family['synth_dir']}\n")
-        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                   "--beta-grid", " , "])
-        assert rc == 2
-        assert "--beta-grid is empty" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, key", [("simulate", "p_sweep"), ("simulate", "seeds"),
+                                              ("synth", "synth.p_list"),
+                                              ("scale", "scale.beta_grid")])
+    def test_empty_list_value_exits_two(self, tmp_path, capsys, command, key):
+        base = SIM_SMALL if command == "simulate" else SYNTH_FAMILY
+        text = "".join(line + "\n" for line in base.splitlines()
+                       if not line.startswith(f"{key} ="))
+        cfg = write_cfg(tmp_path, text + f"scale.input_dir = {tmp_path}\n{key} = ,\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
         # every p on the delocalized side: the anchor trajectory never
@@ -572,9 +598,8 @@ class TestCliExitCodes:
         sim_dir = tmp_path / "below"
         cmd_synth(RunConfig.parse(one_sided), sim_dir)
         cfg = write_cfg(tmp_path, one_sided + f"scale.input_dir = {sim_dir}\n"
-                        + "scale.t_min = 2.0\nscale.n_bootstrap = 0\n")
-        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                   "--beta-grid", "1.0"])
+                        + "scale.beta_grid = 1.0\nscale.t_min = 2.0\nscale.n_bootstrap = 0\n")
+        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("numerical failure: SaturationError")
 

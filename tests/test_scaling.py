@@ -29,7 +29,6 @@ from spinquench.scaling import (
     GrowthFit,
     RescaledCurve,
     ScalingFunctionSample,
-    ScalingResult,
     _pair_cost,
     _pair_mismatch,
     _xi_jacobian,
@@ -143,10 +142,9 @@ class TestGrowthFit:
             fit_growth_exponent(make_traj([1.0, 2.0, 4.0, 8.0], [1.0, 8.0, 64.0, 512.0]))
 
     def test_exponent_pair_consistency_enforced(self):
-        with pytest.raises(ValueError, match="1.5"):
-            GrowthFit(alpha=2.0, alpha_K=2.9, D=1.0, t_min=1.0, r2=1.0, n_points=6)
+        assert GrowthFit(alpha=2.0, D=1.0, t_min=1.0, r2=1.0, n_points=6).alpha_K == 3.0
         with pytest.raises(ValueError, match="at least 5"):
-            GrowthFit(alpha=2.0, alpha_K=3.0, D=1.0, t_min=1.0, r2=1.0, n_points=4)
+            GrowthFit(alpha=2.0, D=1.0, t_min=1.0, r2=1.0, n_points=4)
 
 
 class TestGrowthFixture:
@@ -171,7 +169,7 @@ class TestGrowthFixture:
 class TestRescale:
     def test_coordinate_definitions(self):
         t = np.geomspace(1.0, 10.0, 12)
-        growth = GrowthFit(alpha=2.0, alpha_K=3.0, D=1.0, t_min=1.0, r2=1.0, n_points=12)
+        growth = GrowthFit(alpha=2.0, D=1.0, t_min=1.0, r2=1.0, n_points=12)
         (curve,) = rescale([make_traj(t, t**3, p=0.1)], growth, beta=1.0, t_min=None)
         k1, k2p = scaling_exponents(2.0, 1.0)
         assert curve.k1 == k1 and curve.k2_prime == k2p
@@ -182,7 +180,7 @@ class TestRescale:
 
     def test_window_filter_and_default(self):
         t = np.geomspace(1.0, 10.0, 12)
-        growth = GrowthFit(alpha=2.0, alpha_K=3.0, D=1.0, t_min=3.0, r2=1.0, n_points=12)
+        growth = GrowthFit(alpha=2.0, D=1.0, t_min=3.0, r2=1.0, n_points=12)
         explicit = rescale([make_traj(t, t**3)], growth, beta=0.0, t_min=5.0)[0]
         assert explicit.x.size == int(np.sum(t >= 5.0))
         default = rescale([make_traj(t, t**3)], growth, beta=0.0)[0]
@@ -190,7 +188,7 @@ class TestRescale:
 
     def test_curves_sorted_by_p(self):
         t = np.geomspace(1.0, 10.0, 8)
-        growth = GrowthFit(alpha=2.0, alpha_K=3.0, D=1.0, t_min=1.0, r2=1.0, n_points=8)
+        growth = GrowthFit(alpha=2.0, D=1.0, t_min=1.0, r2=1.0, n_points=8)
         trajs = [make_traj(t, t**3, p=0.3), make_traj(t, t**3, p=0.1)]
         assert [c.p for c in rescale(trajs, growth, beta=1.0)] == [0.1, 0.3]
 
@@ -315,7 +313,8 @@ class TestSeparableCollapse:
         fine = np.linspace(-span, span, 4001)
         for c1, c2 in zip(curves, curves[1:]):
             got = self.pair_cost(c1, c2, result.shifts[c2.p] - result.shifts[c1.p])
-            floor = min(self.pair_cost(c1, c2, d) for d in fine)
+            min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
+            floor = _pair_cost(fine, c1, c2, min_ov).min()
             assert got <= floor * (1.0 + 1e-9) + 1e-15
 
 
@@ -428,7 +427,7 @@ class TestBetaScan:
     def test_all_windows_empty_raises(self):
         t = np.geomspace(1.0, 10.0, 8)
         trajs = [make_traj(t, t**3, p=p) for p in (0.1, 0.2, 0.3)]
-        growth = GrowthFit(alpha=2.0, alpha_K=3.0, D=1.0, t_min=1.0, r2=1.0, n_points=8)
+        growth = GrowthFit(alpha=2.0, D=1.0, t_min=1.0, r2=1.0, n_points=8)
         with pytest.raises(CollapseError, match="every beta"):
             beta_scan(trajs, growth, beta_grid=(0.0, 1.0), t_min=1e6)
 
@@ -644,14 +643,14 @@ class TestXiFitLockOn:
 
     def test_sparse_grid_p_c_between_samples(self):
         grid = [0.009, 0.014, 0.02, 0.048, 0.075]
-        result = self.analyse(grid)
-        assert result.p_c == pytest.approx(0.0266, rel=0.10)
-        assert min(abs(result.p_c - p) for p in grid) > 1e-4
+        fit = self.analyse(grid).fit
+        assert fit.p_c == pytest.approx(0.0266, rel=0.10)
+        assert min(abs(fit.p_c - p) for p in grid) > 1e-4
 
     def test_script_grid_recovers_planted_values(self):
-        result = self.analyse([0.005, 0.009, 0.014, 0.02, 0.033, 0.048, 0.06, 0.075, 0.09, 0.108])
-        assert result.p_c == pytest.approx(0.0266, rel=0.01)
-        assert result.nu == pytest.approx(0.42, rel=0.03)
+        fit = self.analyse([0.005, 0.009, 0.014, 0.02, 0.033, 0.048, 0.06, 0.075, 0.09, 0.108]).fit
+        assert fit.p_c == pytest.approx(0.0266, rel=0.01)
+        assert fit.nu == pytest.approx(0.42, rel=0.03)
 
 
 class TestBootstrapXiFit:
@@ -762,19 +761,20 @@ class TestFullAnalysis:
         trajs, _, _, _ = noiseless_family
         result = full_scaling_analysis(trajs, anchor_p=0.108, beta_grid=(0.0, 1.0, 5.70),
                                        t_min=2.0, growth_t_min=40.0, n_bootstrap=0)
-        assert result.beta == 1.0
-        assert result.alpha == pytest.approx(PLANTED["alpha"], abs=0.01)
-        assert result.p_c == pytest.approx(PLANTED["p_c"], abs=5e-4)
-        assert result.nu == pytest.approx(PLANTED["nu"], abs=0.02)
-        assert result.s == result.beta * result.nu
-        assert result.wegner_dimension_check == pytest.approx(3.0, rel=1e-9)
+        scan, fit = result.scan, result.fit
+        assert scan.best_beta == 1.0
+        assert result.growth.alpha == pytest.approx(PLANTED["alpha"], abs=0.01)
+        assert fit.p_c == pytest.approx(PLANTED["p_c"], abs=5e-4)
+        assert fit.nu == pytest.approx(PLANTED["nu"], abs=0.02)
+        assert result.s == scan.best_beta * fit.nu
+        assert 2.0 + result.s / fit.nu == pytest.approx(3.0, rel=1e-9)
         assert result.bootstrap is None
-        assert result.beta_residuals[1.0] < result.beta_residuals[0.0]
-        assert result.beta_residuals[1.0] < result.beta_residuals[5.70]
+        assert scan.residuals[1.0] < scan.residuals[0.0]
+        assert scan.residuals[1.0] < scan.residuals[5.70]
         # anchor pinned to the plateau of the deepest localized curve
         assert result.xi[0.108] == pytest.approx(planted_xi(0.108), rel=0.02)
         # branch gauge restores the planted factors below the transition
-        assert abs(math.log(result.branch_gauge)) > 1.0
+        assert abs(math.log(fit.gamma)) > 1.0
         assert result.xi[0.005] == pytest.approx(planted_xi(0.005), rel=0.05)
 
     def test_winning_collapse_reused(self, noiseless_family, monkeypatch):
@@ -795,8 +795,8 @@ class TestFullAnalysis:
                                        t_min=2.0, growth_t_min=40.0, n_bootstrap=0)
         assert len(calls) == 3
         growth = fit_growth_exponent(trajs[0], t_min=40.0)
-        fresh = collapse(rescale(trajs, growth, result.beta, 2.0))
-        assert result.collapse.shifts == fresh.shifts
+        fresh = collapse(rescale(trajs, growth, result.scan.best_beta, 2.0))
+        assert result.scan.best.shifts == fresh.shifts
 
     def test_gauged_fit_reported_without_refit(self, noiseless_family, monkeypatch):
         """A grid with two curves on each side of p_c reports the gauged
@@ -816,9 +816,9 @@ class TestFullAnalysis:
                                        growth_t_min=40.0, n_bootstrap=5)
         assert calls == []
         assert result.bootstrap["n_effective"] == 5
-        lo, hi = result.p_c_bounds
+        lo, hi = result.fit.gap
         assert (lo, hi) in list(zip(P_LIST, P_LIST[1:]))
-        assert lo <= result.p_c <= hi
+        assert lo <= result.fit.p_c <= hi
 
     def test_too_few_curves_rejected(self):
         trajs = synth_trajectories([0.01, 0.06], t_grid=T_GRID, **PLANTED)
@@ -831,20 +831,6 @@ class TestFullAnalysis:
                                    s=0.5, alpha=2.0, t_grid=t)
         with pytest.raises(ValueError, match="no trajectory"):
             full_scaling_analysis(trajs, anchor_p=0.07, beta_grid=(1.0,))
-
-    def test_result_invariants_enforced(self):
-        pooled = ScalingFunctionSample(np.zeros(1), np.zeros(1), np.zeros(1))
-        ok = dict(beta=1.0, xi={0.1: 2.0}, collapse_residual=0.1, fit_A=1.0,
-                  fit_B=0.0, nu=0.5, p_c=0.05, std_err={}, s=0.5,
-                  wegner_dimension_check=3.0, alpha=2.87, beta_residuals={},
-                  pooled=pooled)
-        ScalingResult(**ok)
-        with pytest.raises(ValueError, match="s must equal"):
-            ScalingResult(**{**ok, "s": 0.3})
-        with pytest.raises(ValueError, match="nu"):
-            ScalingResult(**{**ok, "nu": -0.5, "s": -0.5})
-        with pytest.raises(ValueError, match="positive"):
-            ScalingResult(**{**ok, "xi": {0.1: -2.0}})
 
 
 def test_default_beta_grid_spans_both_signs():
