@@ -4,9 +4,9 @@ Design goals, in order: reproducibility (a config plus seeds pins every
 number the pipeline emits), typo safety (unknown keys are errors, every
 value must parse), and lossless round-trips (values are kept as the
 validated raw strings, so serialize(parse(text)) preserves content).
-The digest over the canonical serialization, minus output-path keys,
-identifies a run for resume checks and is stamped into every file the
-run produces.
+The digest over the canonical serialization, minus the path keys
+(output.dir, scale.input_dir, plot.*), identifies a run for resume
+checks and is stamped into every file the run produces.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ SCHEMA = {
     "plot.report": str,
 }
 
-#: keys that never influence computed numbers, excluded from the digest
-_NON_SEMANTIC = ("output.dir", "plot.input_dir", "plot.report")
+#: keys that never influence computed numbers, excluded from the digest;
+#: scale.input_dir says where the trajectories are read, not what they hold
+_NON_SEMANTIC = ("output.dir", "scale.input_dir", "plot.input_dir", "plot.report")
 
 
 @dataclass(frozen=True, eq=True)

@@ -37,14 +37,6 @@ MAX_DENSE_SPINS = 14
 DEFAULT_TOL = 1e-10
 
 
-def default_time_grid(d_max: float, n_points: int = 40, span: tuple[float, float] = (0.1, 50.0)) -> np.ndarray:
-    """Logarithmic grid over span/d_max; 1/d_max is the natural time unit."""
-    if d_max <= 0:
-        raise ValueError("d_max must be > 0 to set the time scale")
-    lo, hi = span
-    return np.geomspace(lo / d_max, hi / d_max, n_points)
-
-
 @dataclass(frozen=True, eq=False)
 class QuenchProtocol:
     """Evolution recipe: mode, perturbation strength, grid, solver tolerance.
@@ -299,6 +291,29 @@ def _exact_blocks(basis: SpinBasis) -> list[_Block]:
     return [_Block(basis, basis.states[(basis.parity == par) & low], True) for par in (0, 1)]
 
 
+def exact_peak_bytes(n_spins: int, mode: str) -> int:
+    """Peak bytes evolve_density_exact allocates beyond the workspace: real
+    d x d arrays alive at once, d = 2^(n-2) for even n (two parity blocks
+    of +- halves), 2^(n-1) for odd n (one block), plus 48 MiB for BLAS
+    buffers and freed arrays the allocator keeps (6-32 MiB at n = 10-14).
+      average, even: 12 at a grid time = V+, V-, W of both blocks 6, the
+        complex phases 2, Re X and Im X 2, weight temporaries 2; the
+        second block's set-up stays below, 10 = the first block's V+, V-,
+        W 3, H+ and H- 2, V+ 1, eigh's copy, work and output 4
+      average, odd: 8 = V and W 2, phases 2, X 2, temporaries 2
+      floquet, even: 16 = both blocks' u+ and u-^dag 8, their X 4, and in
+        a cycle step the product u+ X and the new X 4 (weight temporaries
+        and the second block's set-up, one half at a time, stay at or below)
+      floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4
+    Raises CapacityError past MAX_DENSE_SPINS, before any allocation."""
+    if n_spins > MAX_DENSE_SPINS:
+        raise CapacityError(f"exact estimator capped at {MAX_DENSE_SPINS} spins, geometry has "
+                            f"{n_spins}; use the typicality estimator")
+    d = 1 << (n_spins - 2 + n_spins % 2)
+    arrays = ((16, 10) if mode == "floquet" else (12, 8))[n_spins % 2]
+    return 8 * d * d * arrays + 48 * 2**20
+
+
 def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol):
     """Yield (time, w) at every grid point, w[n + order] = sum |rho_rc|^2 of rho(t).
 
@@ -314,9 +329,7 @@ def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol):
     No 2^n x 2^n array is formed.
     """
     n = network.n_spins
-    if n > MAX_DENSE_SPINS:
-        raise CapacityError(f"exact density evolution is capped at {MAX_DENSE_SPINS} spins, got {n}; "
-                            "use the typicality estimator")
+    exact_peak_bytes(n, protocol.mode)
     blocks = _exact_blocks(workspace_for(network).basis)
     pr = protocol
 

@@ -153,6 +153,16 @@ class _Workspace:
         return sparse.csr_array((data, cols[keep], indptr), shape=(dim, dim))
 
 
+def workspace_bytes(n_spins: int, n_pairs: int) -> int:
+    """Bytes a built _Workspace holds: a float64 value and an index per
+    entry of H_0 and H_dd (2^n (pairs + 1) in all), the basis (18 B per
+    state) and two indptr.  The build's partner layout and mask (5 B per
+    entry) are freed before, and stay below, any estimator's peak."""
+    dim = 1 << n_spins
+    index = 4 if dim * (n_pairs + 1) < 2**31 else 8  # as _Workspace._csr
+    return (8 + index) * dim * (n_pairs + 1) + (18 + 2 * index) * dim
+
+
 def workspace_for(network: CouplingNetwork) -> _Workspace:
     ws = _WORKSPACES.get(network)
     if ws is None:

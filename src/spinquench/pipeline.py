@@ -19,8 +19,9 @@ from . import io as sqio
 from . import plots
 from .config import RunConfig
 from .errors import CapacityError, ConfigError
-from .evolution import MAX_DENSE_SPINS
-from .mqc import ClusterTrajectory, trajectory
+from .evolution import exact_peak_bytes
+from .mqc import ClusterTrajectory, trajectory, typicality_peak_bytes
+from .operators import workspace_bytes
 from .scaling import (fit_growth_exponent, full_scaling_analysis, rescale,
                       synth_trajectories)
 
@@ -52,50 +53,20 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _capacity_check(config: RunConfig, network):
-    """Reject oversized requests before any evolution starts."""
-    n_spins = network.n_spins
+def _capacity_check(config: RunConfig, network, n_parallel: int):
+    """Reject oversized requests before any evolution starts: each of the
+    n_parallel tasks run at once holds its own workspace and estimator."""
+    n_spins, n_pairs = network.n_spins, sum(1 for _ in network.pairs())
     kind = config.get("estimator.kind", "exact")
-    dim = 1 << n_spins
-    n_pairs = sum(1 for _ in network.pairs())
-    # H_0 and H_dd store one 12-byte entry (float64 value, int32 column) per
-    # state for the diagonal and for every coupled pair
-    sparse_h = 12 * dim * (n_pairs + 1)
-    if kind == "exact":
-        if n_spins > MAX_DENSE_SPINS:
-            raise CapacityError(
-                f"exact estimator capped at {MAX_DENSE_SPINS} spins, geometry has {n_spins}; "
-                "use estimator.kind = typicality or a smaller geometry")
-        # real d x d arrays alive together at the peak of the block path,
-        # d = 2^(n-2) for even n (two parity blocks of +- halves), 2^(n-1)
-        # for odd n (one block):
-        #   average, even: a grid time, 12 = V+, V- and W of both blocks 6,
-        #     the complex phases 2, Re X and Im X 2, weight temporaries 2;
-        #     the second block's set-up stays below, 10 = the first block's
-        #     V+, V-, W 3, H+ and H- 2, V+ 1, eigh's copy, work and output 4
-        #   average, odd: 8 = V and W 2, phases 2, X 2, temporaries 2
-        #   floquet, even: 16 = both blocks' u+ and u-^dag 8, the X of both
-        #     blocks 4, and in a cycle step the product u+ X and the new X 4
-        #     (a grid time's weight temporaries and the second block's
-        #     set-up, one half at a time, stay at or below this)
-        #   floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4
-        # plus H_0 and H_dd, and 48 MiB for BLAS buffers and freed arrays
-        # the allocator keeps (6-32 MiB measured at n = 10-14)
-        d = 1 << (n_spins - 2 + n_spins % 2)
-        floquet = config.get("protocol.mode", "average") == "floquet"
-        arrays = ((16, 10) if floquet else (12, 8))[n_spins % 2]
-        need = 8 * d * d * arrays + sparse_h + 48 * 2**20
-        what = "the exact estimator"
-    else:
-        # lower bound: H_0 and H_dd, and the four complex (dim, n//2 + 1)
-        # blocks of the Chebyshev recurrence: T_k-1 v, T_k v, T_k+1 v, the sum
-        need = sparse_h + 64 * dim * (n_spins // 2 + 1)
-        what = f"typicality with {n_pairs} coupled pairs"
+    peak = (exact_peak_bytes(n_spins, config.get("protocol.mode", "average"))
+            if kind == "exact" else typicality_peak_bytes(n_spins))
+    need = n_parallel * (workspace_bytes(n_spins, n_pairs) + peak)
     have = _physical_memory()
     if need > have:
         raise CapacityError(
-            f"{what} on {n_spins} spins needs at least {need / 2**30:.2f} GiB, "
-            f"more than the {have / 2**30:.2f} GiB of physical memory")
+            f"the {kind} estimator on {n_spins} spins and {n_pairs} coupled pairs needs at "
+            f"least {need / 2**30:.2f} GiB for {n_parallel} task(s) at once, more than the "
+            f"{have / 2**30:.2f} GiB of physical memory")
 
 
 def _run_one(config: RunConfig, network, p: float, seed: int) -> ClusterTrajectory:
@@ -117,17 +88,13 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     """One trajectory file per (p, seed); resumes by config digest."""
     out = _ensure_outdir(out_dir)
     network = config.build_network()
-    _capacity_check(config, network)
     digest = config.digest()
-    # dry-run validation of every task before computing anything
-    for p in config.p_sweep:
-        config.build_protocol(p)
-    for seed in config.seeds:
-        config.estimator_config(seed)
-
+    # every task is validated and listed, and capacity checked, before any is computed
     tasks, skipped = [], []
     for p in config.p_sweep:
+        config.build_protocol(p)
         for seed in config.seeds:
+            config.estimator_config(seed)
             path = out / sqio.trajectory_filename(p, seed)
             if path.exists():
                 try:
@@ -139,8 +106,10 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
                     continue
             tasks.append((p, seed, path))
 
-    written = []
     n_workers = worker_count()
+    if tasks:
+        _capacity_check(config, network, min(n_workers, len(tasks)))
+    written = []
     if n_workers > 1 and len(tasks) > 1:
         text = config.serialize()
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -107,6 +107,12 @@ class TestDigest:
         assert moved.digest() == base.digest()
         assert extra.digest() == base.digest()
 
+    def test_scale_input_dir_does_not_change_digest(self):
+        # the same config read from two run directories stamps one digest
+        here = RunConfig.parse(BASE_TEXT + "scale.input_dir = runs/a/trajs\n")
+        there = RunConfig.parse(BASE_TEXT + "scale.input_dir = elsewhere/b/trajs\n")
+        assert here.digest() == there.digest() == RunConfig.parse(BASE_TEXT).digest()
+
     def test_semantic_change_changes_digest(self):
         base = RunConfig.parse(BASE_TEXT)
         changed = RunConfig.parse(BASE_TEXT.replace("p_sweep = 0.0,0.5", "p_sweep = 0.0,0.6"))

@@ -7,7 +7,6 @@ from spinquench.errors import CapacityError
 from spinquench.evolution import (
     Propagator,
     QuenchProtocol,
-    default_time_grid,
     evolve_density_exact,
     expm_multiply_krylov,
 )
@@ -73,13 +72,6 @@ class TestProtocolValidation:
         prot = QuenchProtocol.floquet(0.25, 0.8, [1, 2, 4])
         assert_allclose(prot.times, [0.8, 1.6, 3.2])
         assert_allclose(prot.tau_dd / (prot.tau_0 + prot.tau_dd), 0.25, atol=1e-15)
-
-    def test_default_time_grid_spans_inverse_coupling_units(self):
-        grid = default_time_grid(2.0)
-        assert grid.size == 40
-        assert_allclose([grid[0], grid[-1]], [0.05, 25.0])
-        with pytest.raises(ValueError):
-            default_time_grid(0.0)
 
     def test_digest_distinguishes_protocols(self):
         a = QuenchProtocol.average(0.3, [1.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from spinquench.errors import CapacityError, EstimatorWarning
-from spinquench.evolution import QuenchProtocol
+from spinquench.evolution import QuenchProtocol, exact_peak_bytes
 from spinquench.mqc import (
     ClusterTrajectory,
     EstimatorConfig,
@@ -15,8 +16,10 @@ from spinquench.mqc import (
     cluster_size,
     mqc_typicality_grid,
     trajectory,
+    typicality_peak_bytes,
 )
 from spinquench.network import SpinGeometry, dipolar_couplings
+from spinquench.operators import workspace_bytes
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -255,3 +258,38 @@ class TestTrajectory:
             EstimatorConfig(k_method="fwhm")
         with pytest.raises(ValueError, match="n_samples"):
             EstimatorConfig(n_samples=0)
+
+
+class TestStatedPeakBytes:
+    """The byte counts the capacity check adds up, against tracemalloc over
+    a whole trajectory() on a fresh network, so the workspace build is
+    traced too.  Each stated peak must bound the traced one and, without
+    its fixed allowance (48 MiB exact, 1 MiB typicality), stay within 25%
+    of it."""
+
+    @staticmethod
+    def assert_stated(net, protocol, estimator, peak, allowance):
+        stated = workspace_bytes(net.n_spins, sum(1 for _ in net.pairs())) + peak
+        tracemalloc.start()
+        try:
+            trajectory(net, protocol, estimator)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced <= stated
+        assert abs(traced - (stated - allowance)) <= 0.25 * traced
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("mode", ["average", "floquet"])
+    def test_exact(self, n, mode):
+        protocol = (QuenchProtocol.average(0.3, [0.5, 1.0]) if mode == "average"
+                    else QuenchProtocol.floquet(0.3, 0.2, [1, 2]))
+        self.assert_stated(jittered_network(n, 5), protocol, EstimatorConfig(kind="exact"),
+                           exact_peak_bytes(n, mode), 48 * 2**20)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_typicality(self, n, p):
+        self.assert_stated(jittered_network(n, 5), QuenchProtocol.average(p, [0.5, 1.0]),
+                           EstimatorConfig(kind="typicality", n_samples=2),
+                           typicality_peak_bytes(n), 2**20)

@@ -24,7 +24,9 @@ from spinquench import pipeline
 from spinquench.cli import main
 from spinquench.config import RunConfig
 from spinquench.errors import CapacityError, ConfigError, SaturationError
+from spinquench.evolution import exact_peak_bytes
 from spinquench.mqc import ClusterTrajectory
+from spinquench.operators import workspace_bytes
 from spinquench.pipeline import (cmd_plot, cmd_scale, cmd_simulate, cmd_synth,
                                  load_input_trajectories, worker_count)
 
@@ -183,11 +185,12 @@ class TestSimulate:
     def test_exact_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The exact check compares a byte estimate of the block path with
         physical memory: in average mode 12 real d x d arrays, d = 2^(n-2)
-        for even n, plus 12 B per state for the diagonal and each coupled
-        pair of the sparse H_0 + H_dd, plus 48 MiB.  The 5x2x1 lattice has
-        10 spins and 45 pairs, so d = 256."""
+        for even n, plus 48 MiB, plus the workspace: 12 B per state for the
+        diagonal and each coupled pair of the sparse H_0 + H_dd and 26 B
+        per state for the basis and indptr.  The 5x2x1 lattice has 10 spins
+        and 45 pairs, so d = 256."""
         text = SIM_SMALL.replace("2, 2, 1", "5, 2, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0")
-        need = 8 * 256 * 256 * 12 + 12 * 1024 * (45 + 1) + 48 * 2**20
+        need = 8 * 256 * 256 * 12 + 48 * 2**20 + 12 * 1024 * (45 + 1) + 26 * 1024
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -204,7 +207,7 @@ class TestSimulate:
         text = SIM_SMALL.replace("2, 2, 1", "3, 1, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
             .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
             .replace("geom:0.4:1.6:3", "1, 2")
-        need = 8 * 4 * 4 * 10 + 12 * 8 * (3 + 1) + 48 * 2**20
+        need = 8 * 4 * 4 * 10 + 48 * 2**20 + 12 * 8 * (3 + 1) + 26 * 8
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -213,13 +216,14 @@ class TestSimulate:
 
     def test_typicality_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The typicality check compares a byte estimate with physical
-        memory: 12 B per state for the diagonal and each coupled pair of
-        the sparse H_0 + H_dd, plus the four complex (dim, n//2 + 1) blocks
-        of the Chebyshev recurrence.  The 2x2x1 lattice has 4 spins and 6
+        memory: the workspace (12 B per state for the diagonal and each
+        coupled pair of the sparse H_0 + H_dd, 26 B per state for the basis
+        and indptr) plus ten complex (dim, n//2 + 1) blocks, the grid
+        loop's peak, plus 1 MiB.  The 2x2x1 lattice has 4 spins and 6
         pairs."""
         text = SIM_SMALL.replace("estimator.kind = exact", "estimator.kind = typicality\n"
                                  "estimator.n_samples = 2")
-        need = 12 * 16 * (6 + 1) + 4 * 16 * 16 * (4 // 2 + 1)
+        need = 12 * 16 * (6 + 1) + 26 * 16 + 10 * 16 * 16 * (4 // 2 + 1) + 2**20
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -228,6 +232,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
         assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 2
+
+    def test_parallel_workers_share_physical_memory(self, tmp_path, monkeypatch):
+        """Up to SPINQUENCH_WORKERS tasks run at once, each with its own
+        workspace and estimator, so the check counts min(W, tasks) of
+        them; with every task up to date there is nothing to check."""
+        one = workspace_bytes(4, 6) + exact_peak_bytes(4, "average")
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: int(1.5 * one))
+        monkeypatch.setenv("SPINQUENCH_WORKERS", "2")
+        with pytest.raises(CapacityError, match="for 2 task"):
+            cmd_simulate(RunConfig.parse(SIM_SMALL), tmp_path)
+        assert list(tmp_path.glob("traj_*")) == []
+        monkeypatch.setenv("SPINQUENCH_WORKERS", "1")
+        assert len(cmd_simulate(RunConfig.parse(SIM_SMALL), tmp_path)["written"]) == 2
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: 0)
+        monkeypatch.setenv("SPINQUENCH_WORKERS", "2")
+        assert len(cmd_simulate(RunConfig.parse(SIM_SMALL), tmp_path)["skipped"]) == 2
 
     def test_oversized_lattice_rejected_at_geometry(self, tmp_path):
         # the hard 24-spin cap fires while the geometry is built, before
