@@ -28,6 +28,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CapacityError
 from .network import CouplingNetwork
@@ -157,9 +158,13 @@ def _spectral_interval(ws, p: float) -> tuple[float, float]:
     H_0 and H_dd share no off-diagonal entry (a pair partner lies either in
     the same M_z sector or two sectors away), so the radius of row s is
     (1-p) times its H_0 row sum plus p times its off-diagonal H_dd row sum.
+    The row sums of |H| reuse the stored indices and indptr.
     """
+    def abs_row_sums(h):
+        return sparse.csr_array((np.abs(h.data), h.indices, h.indptr), shape=h.shape).sum(axis=1)
+
     zz = ws.hdd.diagonal()
-    radius = (1.0 - p) * abs(ws.h0).sum(axis=1) + p * (abs(ws.hdd).sum(axis=1) - np.abs(zz))
+    radius = (1.0 - p) * abs_row_sums(ws.h0) + p * (abs_row_sums(ws.hdd) - np.abs(zz))
     return float(np.min(p * zz - radius)), float(np.max(p * zz + radius))
 
 

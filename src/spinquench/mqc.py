@@ -165,14 +165,15 @@ def mqc_exact(weights: np.ndarray, *, time: float = 0.0, p: float = 0.0) -> MqcS
 
 def typicality_peak_bytes(n_spins: int) -> int:
     """Peak bytes mqc_typicality_grid allocates beyond the workspace, in
-    complex (2^n, n//2 + 1) blocks alive at once in span_forward: the last
-    y 1 and |y|^2 1/2, block 1, mz * block 1, the Chebyshev out, prev, cur,
-    nxt 4 and the two products of a mixed matvec 2 (one temporary at p = 0
-    or 1).  Counting 10 covers the Gaussian vector and its sector mask for
-    n >= 4; 1 MiB more covers the Python objects, weight tables and
-    first-call caches (10-35 KiB measured at n = 10-12).  The workspace
-    build and the Gershgorin sums precede the loop and stay below it."""
-    return 160 * (1 << n_spins) * (n_spins // 2 + 1) + 2**20
+    complex (2^n, n//2 + 1) blocks alive at once in span_forward: block 1,
+    mz * block 1, the Chebyshev out, prev, cur, nxt 4 and the two products
+    of a mixed matvec 2 (one temporary at p = 0 or 1); the previous grid
+    time's y and |y|^2 are released before it.  Counting 8.5 covers the
+    Gaussian vector and its sector mask for n >= 4; 1 MiB more covers the
+    Python objects, weight tables and first-call caches (10-35 KiB
+    measured at n = 10-12).  The workspace build and the Gershgorin sums
+    precede the loop and stay below it."""
+    return 136 * (1 << n_spins) * (n_spins // 2 + 1) + 2**20
 
 
 def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
@@ -217,6 +218,8 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
                 acc[j, n - up: 2 * n - up + 1] += w
                 if 2 * up != n:
                     acc[j, up: up + n + 1] += w[::-1]
+            # not alive through the next grid time's propagation
+            del y, sq
         totals = acc.sum(axis=1)
         if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
             raise NumericalError(f"typicality normalization failed for seed {seed}: totals {totals}")

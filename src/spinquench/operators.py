@@ -117,7 +117,8 @@ class _Workspace:
     H_dd); otherwise M_z moves by +-2 (flip-flip, in H_0).  H_dd also holds
     the zz diagonal.  Both matrices are filled from one (dim, pairs + 1)
     layout, column 0 the diagonal and column k + 1 the partner of pair k;
-    row-major selection of that layout gives CSR order directly.
+    row-major selection of that layout gives the CSR rows directly, and
+    each row is then sorted by column.
     """
 
     __slots__ = ("basis", "h0", "hdd")
@@ -142,6 +143,10 @@ class _Workspace:
         # every other partner is two M_z steps away: the flip-flip terms
         np.logical_not(same_sector, out=same_sector)
         self.h0 = self._csr(cols, amp, same_sector)
+        # in place, once the diagonal is written; the matvec and the
+        # Gershgorin row sums add each row in this order
+        self.hdd.sort_indices()
+        self.h0.sort_indices()
 
     @staticmethod
     def _csr(cols: np.ndarray, amp: np.ndarray, keep: np.ndarray):

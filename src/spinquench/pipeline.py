@@ -208,7 +208,6 @@ def cmd_scale(config: RunConfig, out_dir) -> dict:
                       "pairs": [{"p_lo": lo, "p_hi": hi, "rms": math.sqrt(sq / n), "n": n}
                                 for (lo, hi), (sq, n) in scan.best.pair_stats.items()],
                       "excluded_pair": scan.best.excluded_pair()},
-        "wegner_dimension_check": 2.0 + result.s / fit.nu,
         "anchor_p": float(anchor_p),
         "bootstrap": result.bootstrap,
         "n_curves": len(combined),

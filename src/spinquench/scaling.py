@@ -12,7 +12,10 @@ raw scaling factor xi(p) up to one overall gauge constant, fixed by
 anchoring xi at a perturbation strength whose K(t) plateau K_loc is
 measurable (xi(anchor) = K_loc^(1/3)).  Only adjacent curves are
 compared, and a pair's mismatch depends only on the difference of its
-two shifts, so the collapse is solved one pair at a time.  The
+two shifts, so the collapse is solved one pair at a time.  Each pair must
+overlap over at least half the shorter curve's span; that floor is a hard
+window on the shift difference, not a penalty, and _pair_mismatch scores
+a whole array of shift differences in one call.  The
 normalized xi(p) is fitted with (A |p - p_c|^nu + B)^(-1) to locate the
 transition.  One fitter serves every xi fit: it bounds p_c to one gap of
 the p grid at a time and, when gauged, profiles out the unknown common
@@ -77,8 +80,6 @@ class RescaledCurve:
     p: float
     x: np.ndarray
     y: np.ndarray
-    k1: float
-    k2_prime: float
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -275,51 +276,37 @@ def rescale(trajs: list[ClusterTrajectory], growth: GrowthFit, beta: float,
         x = -k2p * logt
         y = (2.0 / 3.0) * np.log(traj.K[mask]) - k1 * logt
         order = np.argsort(x)
-        curves.append(RescaledCurve(p=traj.p, x=x[order], y=y[order], k1=k1, k2_prime=k2p))
+        curves.append(RescaledCurve(p=traj.p, x=x[order], y=y[order]))
     return curves
 
 
-def _pair_mismatch(c1: RescaledCurve, c2: RescaledCurve, s1: float, s2):
-    """(sum of squared y-deviations, sample count, overlap length) over the
-    x-overlap of c1 shifted by s1 and c2 shifted by s2.
+def _pair_mismatch(c1: RescaledCurve, c2: RescaledCurve, deltas):
+    """(sq, cnt), two arrays over the 1-D array deltas: the sum of squared
+    y-deviations and the sample count over the closed x-overlap of c1 and
+    c2 shifted by delta.
 
-    s2 is one shift or a 1-D array of them.  An array is scored in one
-    pass, with (shifts x samples) overlap masks and one interpolant call
-    per curve, and every slot is then an array over s2.  sq is None (NaN
-    in an array) when the overlap holds no samples, with count 0; the
-    overlap length is negative when the curves are disjoint.
+    One convention for any number of deltas: arrays in, arrays out.  All
+    deltas are scored in one pass, with (deltas x samples) overlap masks
+    and one interpolant call per curve.  Disjoint curves give sq = cnt = 0;
+    curves that only touch count their shared end point once from each
+    side.  collapse scores only deltas inside its overlap window, so
+    neither case needs a barrier or a marker.
     """
-    shifts = np.atleast_1d(np.asarray(s2, dtype=float))
-    n = shifts.size
-    x1 = c1.x + s1
-    lo = np.maximum(x1[0], c2.x[0] + shifts)
-    hi = np.minimum(x1[-1], c2.x[-1] + shifts)
-    ov = hi - lo
-    hi[ov <= 0] = -np.inf   # no sample counts where the curves only touch or are disjoint
+    deltas = np.asarray(deltas, dtype=float)
+    n = deltas.size
+    lo = np.maximum(c1.x[0], c2.x[0] + deltas)
+    hi = np.minimum(c1.x[-1], c2.x[-1] + deltas)
     sq = np.zeros(n)
     cnt = np.zeros(n, dtype=int)
     # one curve's samples at a time, against the other curve's interpolant,
-    # so that only one (shifts x samples) set of arrays is alive at once
-    for x, y, other, back in ((np.broadcast_to(x1, (n, x1.size)), c1.y, c2, shifts),
-                              (c2.x + shifts[:, None], c2.y, c1, np.full(n, s1))):
+    # so that only one (deltas x samples) set of arrays is alive at once
+    for x, y, other, back in ((np.broadcast_to(c1.x, (n, c1.x.size)), c1.y, c2, deltas),
+                              (c2.x + deltas[:, None], c2.y, c1, np.zeros(n))):
         rows, cols = np.nonzero((x >= lo[:, None]) & (x <= hi[:, None]))
         d = y[cols] - other.interpolant(x[rows, cols] - back[rows])
         sq += np.bincount(rows, d * d, minlength=n)
         cnt += np.bincount(rows, minlength=n)
-    sq[cnt == 0] = np.nan
-    if np.ndim(s2) == 0:
-        return (None if cnt[0] == 0 else float(sq[0])), int(cnt[0]), float(ov[0])
-    return sq, cnt, ov
-
-
-def _pair_cost(delta, c1: RescaledCurve, c2: RescaledCurve, min_ov: float):
-    """Pair mismatch at shift difference delta (one value or a 1-D array)
-    plus a barrier that keeps the pair in contact over at least min_ov,
-    scaled to dominate any in-overlap mismatch."""
-    sq, _, ov = _pair_mismatch(c1, c2, 0.0, np.atleast_1d(delta))
-    deficit = np.maximum(0.0, min_ov - ov)
-    cost = np.where(np.isnan(sq), 1e6 * (1.0 + (min_ov - ov) ** 2), sq + 1e6 * deficit * deficit)
-    return cost if np.ndim(delta) else float(cost[0])
+    return sq, cnt
 
 
 def collapse(curves: list[RescaledCurve]) -> CollapseResult:
@@ -328,66 +315,58 @@ def collapse(curves: list[RescaledCurve]) -> CollapseResult:
     Curves are ordered by p and only consecutive pairs enter the
     objective: distant pairs can sit on opposite asymptotic branches of
     the scaling function, where forcing overlap would bias the shifts.
-    Each adjacent pair is constrained to keep at least half the shorter
-    curve's span in overlap; without that floor, a pair with any
-    irreducible mismatch could shed comparison points by sliding apart,
-    which would fake a good collapse.
+    Each adjacent pair must keep at least m, half the shorter curve's
+    span, in overlap; without that floor, a pair with any irreducible
+    mismatch could shed comparison points by sliding apart, which would
+    fake a good collapse.
 
-    A pair's cost depends only on the difference delta of its two
+    A pair's mismatch depends only on the difference delta of its two
     shifts, so the objective is a sum of independent one-dimensional
-    terms and each pair is solved on its own.  Its cost jumps at every
-    delta where a sample enters or leaves the overlap and is smooth in
-    between, so the search runs over those smooth pieces: each is probed
-    at its lower cut, just inside both ends and at its middle, and a
-    bounded scalar search polishes the three pieces with the lowest
-    probes.  _pair_mismatch scores all probes of a pair in one batched
-    call, each polish step and the final pair_stats; _pair_cost adds the
-    overlap floor as a barrier for the probes and the polish.  The shifts
-    are the cumulative sums of the deltas, with the lowest-p curve the
-    fixed reference.  A pair bracketing a transition, whose mismatch no
-    shift can reconcile, therefore moves no other pair's delta;
-    trimmed_residual names it afterwards.  Deterministic given the data,
-    but the bounded polish stops at about sqrt(eps) |delta| + xatol/3, so
-    each delta is fixed to ~1.5e-8 relative, not to its xatol of 1e-12.
+    terms and each pair is solved on its own.  The overlap is a trapezoid
+    in delta, so the floor is a hard window: delta lies in
+    [c1.x[0] - c2.x[-1] + m, c1.x[-1] - c2.x[0] - m], and nothing outside
+    it is ever scored.  Inside, the mismatch jumps at every delta where a
+    sample enters or leaves the overlap and is smooth in between, so the
+    window's ends and those cuts bound smooth pieces: each is probed at
+    its lower end, just inside both ends and at its middle, and a bounded
+    scalar search polishes the three pieces with the lowest probes.
+    _pair_mismatch scores all probes of a pair in one batched call, each
+    polish step and the final pair_stats.  The shifts are the cumulative
+    sums of the deltas, with the lowest-p curve the fixed reference.  A
+    pair bracketing a transition, whose mismatch no shift can reconcile,
+    therefore moves no other pair's delta; it slides to the overlap floor
+    and trimmed_residual names it afterwards.  Deterministic given the
+    data, but the bounded polish stops at about sqrt(eps) |delta| +
+    xatol/3: each delta is fixed to ~1.5e-8 relative, not to 1e-12.
     """
     from scipy.optimize import minimize_scalar
     curves = sorted(curves, key=lambda c: c.p)
     for c in curves:
         if c.x.size < 2:
             raise CollapseError(f"curve at p={c.p} has fewer than 2 points in the scaling window")
-    if len(curves) == 1:
-        pooled = ScalingFunctionSample(curves[0].x.copy(), curves[0].y.copy(),
-                                       np.full(curves[0].x.size, curves[0].p))
-        return CollapseResult({curves[0].p: 0.0}, 0.0, pooled, {})
-    # no pair overlaps once its shift difference exceeds the pooled x span
-    span = max(c.x[-1] for c in curves) - min(c.x[0] for c in curves)
 
     deltas = []
     pair_stats = {}
     for c1, c2 in zip(curves, curves[1:]):
-        min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
-        # the cost jumps wherever a sample enters or leaves the overlap and
-        # is smooth in between: probe each smooth piece at its lower cut,
-        # just inside both ends and at its middle, all in one batched call,
-        # then polish inside the three best pieces
+        m = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
+        first, last = c1.x[0] - c2.x[-1] + m, c1.x[-1] - c2.x[0] - m
         cuts = np.concatenate([c1.x - c2.x[0], c1.x - c2.x[-1], c1.x[0] - c2.x, c1.x[-1] - c2.x])
-        edges = np.unique(np.concatenate([[-span, span], cuts[np.abs(cuts) < span]]))
+        edges = np.unique(np.concatenate([[first, last], cuts[(cuts > first) & (cuts < last)]]))
         lo, hi = edges[:-1], edges[1:]
         inset = 1e-9 * (hi - lo)
         probes = np.stack([lo, lo + inset, 0.5 * (lo + hi), hi - inset])
-        values = _pair_cost(probes.ravel(), c1, c2, min_ov).reshape(probes.shape)
+        values = _pair_mismatch(c1, c2, probes.ravel())[0].reshape(probes.shape)
         best = np.unravel_index(np.argmin(values), values.shape)
         delta, value = probes[best], values[best]
         for k in np.argsort(values.min(axis=0))[:3]:
-            res = minimize_scalar(_pair_cost, bounds=(lo[k], hi[k]), args=(c1, c2, min_ov),
-                                  method="bounded", options={"xatol": 1e-12})
+            res = minimize_scalar(lambda d: _pair_mismatch(c1, c2, [d])[0][0],
+                                  bounds=(lo[k], hi[k]), method="bounded",
+                                  options={"xatol": 1e-12})
             if res.fun < value:
                 delta, value = res.x, res.fun
-        sq, cnt, _ = _pair_mismatch(c1, c2, 0.0, delta)
-        if sq is None:
-            raise CollapseError(f"no x-overlap achievable between p={c1.p} and p={c2.p}")
+        sq, cnt = _pair_mismatch(c1, c2, [delta])
         deltas.append(delta)
-        pair_stats[(c1.p, c2.p)] = (sq, cnt)
+        pair_stats[(c1.p, c2.p)] = (float(sq[0]), int(cnt[0]))
     shifts = np.concatenate([[0.0], np.cumsum(deltas)])
     total_sq = sum(sq for sq, _ in pair_stats.values())
     total_cnt = sum(cnt for _, cnt in pair_stats.values())

@@ -237,7 +237,7 @@ def test_08_collapse_correctness():
         master = lambda u: 0.05 * u**3 - 0.4 * u**2 + 0.3 * u
         base = np.linspace(-2.0, 2.0, 41)
         planted = (0.0, 0.31, 0.55, 0.8)
-        curves = [RescaledCurve(p=p, x=base - d, y=master(base), k1=1.0, k2_prime=0.5)
+        curves = [RescaledCurve(p=p, x=base - d, y=master(base))
                   for p, d in zip((0.1, 0.2, 0.3, 0.4), planted)]
         result = collapse(curves)
         recovered = [result.shifts[p] for p in (0.1, 0.2, 0.3, 0.4)]

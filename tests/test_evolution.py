@@ -7,12 +7,13 @@ from spinquench.errors import CapacityError
 from spinquench.evolution import (
     Propagator,
     QuenchProtocol,
+    _spectral_interval,
     evolve_density_exact,
     expm_multiply_krylov,
 )
 from spinquench.mqc import mqc_exact
 from spinquench.network import SpinGeometry, dipolar_couplings
-from spinquench.operators import gaussian_state, workspace_for
+from spinquench.operators import dense_hamiltonian, gaussian_state, workspace_for
 
 from oracles import (basis_vector, evolve_rho_dense, evolve_state_dense, floquet_cycle_dense,
                      h_mixed_dense, iz_total_dense, mqc_weights_dense)
@@ -178,6 +179,19 @@ class TestKrylovStep:
             for c in range(3):
                 alone = prop.step_backward(prop.span_forward(block[:, c], 1), 0)
                 assert np.max(np.abs(got[:, c] - alone)) < 1e-13
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_spectral_interval_holds_the_spectrum(self, chain6, lattice8, p):
+        """The Gershgorin interval that sets the expansion length contains
+        every eigenvalue of H(p): a Chebyshev series over an interval that
+        misses one diverges.  The 2-spin H_0 has empty rows (|01>, |10>),
+        and its discs are tight, hence the rounding allowance."""
+        two = dipolar_couplings(SpinGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), Z))
+        for net in (two, chain6, lattice8):
+            lo, hi = _spectral_interval(workspace_for(net), p)
+            eig = np.linalg.eigvalsh(dense_hamiltonian(net, p))
+            slack = 1e-12 * max(abs(lo), abs(hi))
+            assert lo - slack <= eig[0] and eig[-1] <= hi + slack
 
     def test_long_span_matches_dense_oracle(self):
         """One expansion over a long span, ||H|| t = 250."""

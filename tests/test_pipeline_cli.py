@@ -218,12 +218,12 @@ class TestSimulate:
         """The typicality check compares a byte estimate with physical
         memory: the workspace (12 B per state for the diagonal and each
         coupled pair of the sparse H_0 + H_dd, 26 B per state for the basis
-        and indptr) plus ten complex (dim, n//2 + 1) blocks, the grid
-        loop's peak, plus 1 MiB.  The 2x2x1 lattice has 4 spins and 6
-        pairs."""
+        and indptr) plus 8.5 complex (dim, n//2 + 1) blocks (136 B per state
+        and column), the grid loop's peak, plus 1 MiB.  The 2x2x1 lattice
+        has 4 spins and 6 pairs."""
         text = SIM_SMALL.replace("estimator.kind = exact", "estimator.kind = typicality\n"
                                  "estimator.n_samples = 2")
-        need = 12 * 16 * (6 + 1) + 26 * 16 + 10 * 16 * 16 * (4 // 2 + 1) + 2**20
+        need = 12 * 16 * (6 + 1) + 26 * 16 + 136 * 16 * (4 // 2 + 1) + 2**20
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -361,8 +361,8 @@ class TestScaleCommand:
     def test_report_key_contract(self, planted_family):
         report = planted_family["report"]
         assert set(report) == {"alpha", "alpha_K", "growth", "collapse", "beta", "beta_scan",
-                               "xi", "fit", "residuals", "wegner_dimension_check",
-                               "anchor_p", "bootstrap", "n_curves", "config_digest"}
+                               "xi", "fit", "residuals", "anchor_p", "bootstrap", "n_curves",
+                               "config_digest"}
         assert set(report["growth"]) == {"r2", "t_min", "n_points"}
         assert report["collapse"] == {"t_min": 2.0}
         assert set(report["fit"]) == {"A", "B", "nu", "p_c", "p_c_bounds", "s", "branch_gauge",
@@ -389,7 +389,6 @@ class TestScaleCommand:
         assert report["fit"]["p_c"] == pytest.approx(0.05, abs=2e-3)
         assert report["fit"]["nu"] == pytest.approx(0.5, abs=0.02)
         assert report["fit"]["s"] == pytest.approx(report["beta"] * report["fit"]["nu"], rel=1e-12)
-        assert report["wegner_dimension_check"] == pytest.approx(3.0, abs=1e-12)
 
     def test_growth_window_respects_config(self, planted_family):
         growth = planted_family["report"]["growth"]

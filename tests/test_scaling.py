@@ -29,7 +29,6 @@ from spinquench.scaling import (
     GrowthFit,
     RescaledCurve,
     ScalingFunctionSample,
-    _pair_cost,
     _pair_mismatch,
     _xi_jacobian,
     _xi_residuals,
@@ -172,7 +171,6 @@ class TestRescale:
         growth = GrowthFit(alpha=2.0, D=1.0, t_min=1.0, r2=1.0, n_points=12)
         (curve,) = rescale([make_traj(t, t**3, p=0.1)], growth, beta=1.0, t_min=None)
         k1, k2p = scaling_exponents(2.0, 1.0)
-        assert curve.k1 == k1 and curve.k2_prime == k2p
         # x ascends while t descends
         np.testing.assert_allclose(curve.x, -k2p * np.log(t)[::-1], atol=1e-12)
         np.testing.assert_allclose(
@@ -194,8 +192,7 @@ class TestRescale:
 
     def test_non_monotone_x_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            RescaledCurve(p=0.1, x=np.array([0.0, 0.0, 1.0]),
-                          y=np.zeros(3), k1=1.0, k2_prime=0.5)
+            RescaledCurve(p=0.1, x=np.array([0.0, 0.0, 1.0]), y=np.zeros(3))
 
 
 def translated_curves(shifts_in):
@@ -209,8 +206,7 @@ def translated_curves(shifts_in):
     ps = (0.1, 0.2, 0.3, 0.4)
     curves = []
     for p, d in zip(ps, shifts_in):
-        curves.append(RescaledCurve(p=p, x=base - d, y=master(base),
-                                    k1=1.0, k2_prime=0.5))
+        curves.append(RescaledCurve(p=p, x=base - d, y=master(base)))
     return curves
 
 
@@ -229,16 +225,14 @@ class TestCollapse:
     def test_idempotent_on_collapsed_curves(self):
         curves = translated_curves([0.0, 0.31, 0.55])
         first = collapse(curves)
-        shifted = [RescaledCurve(p=c.p, x=c.x + first.shifts[c.p], y=c.y,
-                                 k1=c.k1, k2_prime=c.k2_prime) for c in curves]
+        shifted = [RescaledCurve(p=c.p, x=c.x + first.shifts[c.p], y=c.y) for c in curves]
         again = collapse(shifted)
         for p, s in again.shifts.items():
             assert s == pytest.approx(0.0, abs=1e-6)
 
     def test_common_offset_gauge_invariance(self):
         curves = translated_curves([0.0, 0.31, 0.55])
-        moved = [RescaledCurve(p=c.p, x=c.x + 0.37, y=c.y, k1=c.k1,
-                               k2_prime=c.k2_prime) for c in curves]
+        moved = [RescaledCurve(p=c.p, x=c.x + 0.37, y=c.y) for c in curves]
         a, b = collapse(curves), collapse(moved)
         for p in a.shifts:
             assert b.shifts[p] == pytest.approx(a.shifts[p], abs=1e-6)
@@ -252,8 +246,7 @@ class TestCollapse:
 
     def test_degenerate_curve_named_in_error(self):
         curves = translated_curves([0.0, 0.3])
-        curves.append(RescaledCurve(p=0.9, x=np.array([1.0]), y=np.array([0.0]),
-                                    k1=1.0, k2_prime=0.5))
+        curves.append(RescaledCurve(p=0.9, x=np.array([1.0]), y=np.array([0.0])))
         with pytest.raises(CollapseError, match="p=0.9"):
             collapse(curves)
 
@@ -277,28 +270,25 @@ class TestCollapse:
         assert two.trimmed_residual() == pytest.approx(math.sqrt(5.0 / 2.0))
 
 
+def overlap_floor(c1, c2):
+    """Half the shorter span, m, and the window of shift differences that
+    keep at least m in overlap."""
+    m = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
+    return m, (c1.x[0] - c2.x[-1] + m, c1.x[-1] - c2.x[0] - m)
+
+
 class TestSeparableCollapse:
-    """Each adjacent pair's cost depends only on its shift difference.
+    """Each adjacent pair's mismatch depends only on its shift difference.
 
     The collapse objective is therefore a sum of independent 1-D terms:
     no pair can move another pair's shift difference, and each pair must
-    sit at the global minimum of its own cost.
+    sit at the global minimum of its own mismatch over its window.
     """
-
-    @staticmethod
-    def pair_cost(c1, c2, delta):
-        # mismatch plus the overlap barrier (half the shorter span)
-        sq, _, ov = _pair_mismatch(c1, c2, 0.0, delta)
-        min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
-        if sq is None:
-            return 1e6 * (1.0 + (min_ov - ov) ** 2)
-        return sq + 1e6 * max(0.0, min_ov - ov) ** 2
 
     def test_highest_curve_moves_no_other_shift(self, noiseless_family):
         _, _, curves, result = noiseless_family
         top = curves[-1]
-        bent = RescaledCurve(p=top.p, x=top.x, y=top.y + 0.3 * np.sin(3.0 * top.x),
-                             k1=top.k1, k2_prime=top.k2_prime)
+        bent = RescaledCurve(p=top.p, x=top.x, y=top.y + 0.3 * np.sin(3.0 * top.x))
         for variant in (curves[:-1], curves[:-1] + [bent]):
             shifts = collapse(variant).shifts
             for c in curves[:-1]:
@@ -309,48 +299,59 @@ class TestSeparableCollapse:
         trajs, growth, _, _ = noiseless_family
         curves = rescale(trajs, growth, beta=beta, t_min=2.0)
         result = collapse(curves)
-        span = max(c.x[-1] for c in curves) - min(c.x[0] for c in curves)
-        fine = np.linspace(-span, span, 4001)
         for c1, c2 in zip(curves, curves[1:]):
-            got = self.pair_cost(c1, c2, result.shifts[c2.p] - result.shifts[c1.p])
-            min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
-            floor = _pair_cost(fine, c1, c2, min_ov).min()
+            got = result.pair_stats[(c1.p, c2.p)][0]
+            _, window = overlap_floor(c1, c2)
+            floor = _pair_mismatch(c1, c2, np.linspace(*window, 4001))[0].min()
             assert got <= floor * (1.0 + 1e-9) + 1e-15
+
+    @pytest.mark.parametrize("beta", [0.58, 1.0, 6.6])
+    def test_overlap_floor_holds(self, noiseless_family, beta):
+        # the pair bracketing p_c cannot collapse, so it slides as far apart
+        # as the floor lets it, and no further
+        trajs, growth, _, _ = noiseless_family
+        curves = rescale(trajs, growth, beta=beta, t_min=2.0)
+        shifts = collapse(curves).shifts
+        for c1, c2 in zip(curves, curves[1:]):
+            m, _ = overlap_floor(c1, c2)
+            delta = shifts[c2.p] - shifts[c1.p]
+            overlap = min(c1.x[-1], c2.x[-1] + delta) - max(c1.x[0], c2.x[0] + delta)
+            assert overlap >= m * (1.0 - 1e-9)
+            if c1.p < PLANTED["p_c"] < c2.p:
+                assert overlap - m <= 1e-9 * m
 
 
 class TestBatchedPairCost:
     """One _pair_mismatch call scores a whole array of shift differences;
-    each entry must equal the per-delta reference built from scalar calls.
+    each entry must equal a call on that shift difference alone.
     """
 
     @staticmethod
     def check(c1, c2, deltas):
-        min_ov = 0.5 * min(c1.x[-1] - c1.x[0], c2.x[-1] - c2.x[0])
-        ref = np.array([TestSeparableCollapse.pair_cost(c1, c2, d) for d in deltas])
-        np.testing.assert_allclose(_pair_cost(deltas, c1, c2, min_ov), ref, rtol=1e-15, atol=0)
-        sq, cnt, ov = _pair_mismatch(c1, c2, 0.0, deltas)
+        sq, cnt = _pair_mismatch(c1, c2, deltas)
         for i, d in enumerate(deltas):
-            sq_i, cnt_i, ov_i = _pair_mismatch(c1, c2, 0.0, d)
-            assert (cnt[i], ov[i]) == (cnt_i, ov_i)
-            if sq_i is None:
-                assert math.isnan(sq[i]) and cnt_i == 0
-            else:
-                assert sq[i] == pytest.approx(sq_i, rel=1e-15, abs=0)
+            sq_i, cnt_i = _pair_mismatch(c1, c2, [d])
+            assert cnt[i] == cnt_i[0]
+            assert sq[i] == pytest.approx(sq_i[0], rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("beta", [0.58, 1.0, 6.6])
     def test_every_collapse_probe(self, noiseless_family, beta, monkeypatch):
         trajs, growth, _, _ = noiseless_family
         curves = rescale(trajs, growth, beta=beta, t_min=2.0)
-        batches = []
+        calls = []
 
-        def recording(c1, c2, s1, s2):
-            if np.size(s2) > 1:  # the probes; each polish step scores one delta
-                batches.append((c1, c2, np.array(s2)))
-            return _pair_mismatch(c1, c2, s1, s2)
+        def recording(c1, c2, deltas):
+            calls.append((c1, c2, np.array(deltas, dtype=float)))
+            return _pair_mismatch(c1, c2, deltas)
 
         monkeypatch.setattr(scaling, "_pair_mismatch", recording)
         collapse(curves)
         monkeypatch.undo()
+        # every delta scored, probe or polish step, lies in its pair's window
+        for c1, c2, deltas in calls:
+            _, (first, last) = overlap_floor(c1, c2)
+            assert np.all((deltas >= first) & (deltas <= last))
+        batches = [call for call in calls if call[2].size > 1]   # the probes
         assert [(c1.p, c2.p) for c1, c2, _ in batches] == [
             (c1.p, c2.p) for c1, c2 in zip(curves, curves[1:])]
         for c1, c2, deltas in batches:
@@ -359,16 +360,19 @@ class TestBatchedPairCost:
     def test_short_curve_and_empty_overlaps(self):
         # 3 points: linear interpolation (np.interp) instead of the spline.
         # A positive-length overlap always holds an end sample of one
-        # curve, so the overlaps without samples are the zero-length ones
-        # where the curves touch: delta = 2.5 and -3.0 exactly
+        # curve, so only disjoint curves hold no sample; where they touch,
+        # at delta = 2.5 and -3.0 exactly, the shared point counts once
+        # from each curve
         (long,) = translated_curves([0.0])
-        short = RescaledCurve(p=0.2, x=np.array([-0.5, 0.25, 1.0]), y=np.array([0.3, -0.1, 0.2]),
-                              k1=1.0, k2_prime=0.5)
-        touching = [2.5, -3.0]
+        short = RescaledCurve(p=0.2, x=np.array([-0.5, 0.25, 1.0]), y=np.array([0.3, -0.1, 0.2]))
+        touching = {2.5: long.y[-1] - short.y[0], -3.0: long.y[0] - short.y[-1]}
         disjoint = [-10.0, -3.5, 2.75, 10.0]
-        deltas = np.array(touching + disjoint + np.linspace(-2.9, 2.4, 53).tolist())
-        for d in touching + disjoint:
-            assert _pair_mismatch(long, short, 0.0, d)[0] is None
+        deltas = np.array(list(touching) + disjoint + np.linspace(-2.9, 2.4, 53).tolist())
+        sq, cnt = _pair_mismatch(long, short, disjoint)
+        assert np.all(cnt == 0) and np.all(sq == 0.0)
+        sq, cnt = _pair_mismatch(long, short, list(touching))
+        np.testing.assert_array_equal(cnt, [2, 2])
+        np.testing.assert_allclose(sq, [2.0 * g * g for g in touching.values()], rtol=1e-12)
         self.check(long, short, deltas)
         self.check(short, long, -deltas)
 
