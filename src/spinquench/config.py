@@ -43,6 +43,17 @@ def _parse_int_list(raw: str) -> list:
     return _parse_list(raw, int)
 
 
+def _parse_seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
+def _parse_seed_list(raw: str) -> list:
+    return _parse_list(raw, _parse_seed)
+
+
 def _parse_grid(raw: str) -> np.ndarray:
     """Time grids: 'geom:a:b:n', 'lin:a:b:n', 'geomint:a:b:n' (geometric,
     rounded to unique integers, for cycle counts), or an explicit comma
@@ -74,15 +85,15 @@ SCHEMA = {
     "geometry.path": str,
     "geometry.field_axis": _parse_float_list,
     "geometry.cutoff_radius": float,
-    "geometry.seed": int,
+    "geometry.seed": _parse_seed,
     "protocol.mode": str,
     "protocol.time_grid": _parse_grid,
     "protocol.tau_c": float,
     "p_sweep": _parse_float_list,
-    "seeds": _parse_int_list,
+    "seeds": _parse_seed_list,
     "estimator.kind": str,
     "estimator.n_samples": int,
-    "estimator.base_seed": int,
+    "estimator.base_seed": _parse_seed,
     "estimator.k_method": str,
     "estimator.keep_spectra": _parse_bool,
     "numerics.tol": float,
@@ -94,7 +105,7 @@ SCHEMA = {
     "synth.A": float,
     "synth.B": float,
     "synth.noise_level": float,
-    "synth.seed": int,
+    "synth.seed": _parse_seed,
     "synth.time_grid": _parse_grid,
     "scale.input_dir": str,
     "scale.anchor_p": float,
@@ -102,7 +113,7 @@ SCHEMA = {
     "scale.t_min": float,
     "scale.growth_t_min": float,
     "scale.n_bootstrap": int,
-    "scale.bootstrap_seed": int,
+    "scale.bootstrap_seed": _parse_seed,
     "plot.input_dir": str,
     "plot.report": str,
 }

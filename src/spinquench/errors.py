@@ -45,7 +45,8 @@ class UndefinedSpectrumError(NumericalError):
 
 
 class CollapseError(NumericalError):
-    """Data collapse infeasible (e.g. a curve overlaps no other curve)."""
+    """Data collapse infeasible: a curve has fewer than 2 points in the
+    scaling window, or the collapse fails for every beta of the scan."""
 
 
 class SaturationError(NumericalError):

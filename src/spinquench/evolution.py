@@ -191,41 +191,34 @@ class Propagator:
             spectrum=self._spectrum[p], tol=self.protocol.tol,
         )
 
-    def _cycles(self, amp: np.ndarray, count: int, backward: bool) -> np.ndarray:
-        pr = self.protocol
-        for _ in range(count):
-            if backward:
-                amp = self._exp(amp, 1.0, -pr.tau_dd)
-                amp = self._exp(amp, 0.0, -pr.tau_0)
-            else:
-                amp = self._exp(amp, 0.0, pr.tau_0)
-                amp = self._exp(amp, 1.0, pr.tau_dd)
-        return amp
-
     def _interval(self, i: int) -> float:
         grid = self.protocol.time_grid
         return float(grid[i] - (grid[i - 1] if i > 0 else 0.0))
 
-    def step_forward(self, amp: np.ndarray, i: int) -> np.ndarray:
-        """Advance from grid point i-1 (or the origin for i=0) to point i."""
+    def _advance(self, amp: np.ndarray, span: float, sign: int) -> np.ndarray:
+        """Evolve over span grid units, a time or a cycle count, in legs of
+        fixed H(p); sign -1 runs the legs backward in reverse order."""
         pr = self.protocol
         if pr.mode == "average":
-            return self._exp(amp, pr.p, self._interval(i))
-        return self._cycles(amp, int(round(self._interval(i))), backward=False)
+            reps, legs = 1, ((pr.p, span),)
+        else:
+            reps, legs = int(round(span)), ((0.0, pr.tau_0), (1.0, pr.tau_dd))
+        for _ in range(reps):
+            for p, duration in legs[::sign]:
+                amp = self._exp(amp, p, sign * duration)
+        return amp
+
+    def step_forward(self, amp: np.ndarray, i: int) -> np.ndarray:
+        """Advance from grid point i-1 (or the origin for i=0) to point i."""
+        return self._advance(amp, self._interval(i), 1)
 
     def step_backward(self, amp: np.ndarray, i: int) -> np.ndarray:
         """Undo step_forward(., i)."""
-        pr = self.protocol
-        if pr.mode == "average":
-            return self._exp(amp, pr.p, -self._interval(i))
-        return self._cycles(amp, int(round(self._interval(i))), backward=True)
+        return self._advance(amp, self._interval(i), -1)
 
     def span_forward(self, amp: np.ndarray, i: int) -> np.ndarray:
         """Advance from the origin all the way to grid point i in one call."""
-        pr = self.protocol
-        if pr.mode == "average":
-            return self._exp(amp, pr.p, float(pr.time_grid[i]))
-        return self._cycles(amp, int(round(pr.time_grid[i])), backward=False)
+        return self._advance(amp, float(self.protocol.time_grid[i]), 1)
 
 
 class _Block:

@@ -88,25 +88,23 @@ def read_trajectory_file(path) -> ClusterTrajectory:
     columns = lines[body_start].split(",")
     if columns[:2] != ["time", "K"]:
         raise ConfigError(f"{path}: expected columns time,K..., got {lines[body_start]!r}")
-    orders = [int(c[1:]) for c in columns[2:]]
     rows = [line.split(",") for line in lines[body_start + 1:] if line.strip()]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     try:
+        orders = [int(c[1:]) for c in columns[2:]]
         data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad data row: {exc}") from None
+        raise ConfigError(f"{path}: bad data row or order column: {exc}") from None
     if data.shape[1] != len(columns):
         raise ConfigError(f"{path}: ragged rows, expected {len(columns)} columns")
     p = meta.get("p")
     if p is None:
         raise ConfigError(f"{path}: metadata lacks p")
-    spectra = None
-    if orders:
-        estimator = meta.get("estimator", "exact")
-        spectra = [MqcSpectrum(np.array(orders), data[i, 2:], time=data[i, 0], p=p,
-                               estimator=estimator) for i in range(data.shape[0])]
     try:
+        spectra = [MqcSpectrum(np.array(orders), data[i, 2:], time=data[i, 0], p=p,
+                               estimator=meta.get("estimator", "exact"))
+                   for i in range(data.shape[0])] if orders else None
         return ClusterTrajectory(p=p, times=data[:, 0], K=data[:, 1],
                                  spectra=spectra, metadata=meta)
     except ValueError as exc:

@@ -4,6 +4,8 @@ Each takes a validated RunConfig plus an output directory and returns a
 small summary dict (the CLI prints it; tests introspect it). All writes
 are atomic and deterministic, so re-running a config is free: simulate
 skips every (p, seed) whose file already carries the config digest.
+SPINQUENCH_WORKERS (an integer >= 1, default 1) sets how many simulate
+tasks run at once in a process pool; it changes no byte of their files.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +57,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _capacity_check(config: RunConfig, network, n_parallel: int):
+def _capacity_check(network, mode: str, kind: str, n_parallel: int):
     """Reject oversized requests before any evolution starts: each of the
     n_parallel tasks run at once holds its own workspace and estimator."""
     n_spins, n_pairs = network.n_spins, sum(1 for _ in network.pairs())
-    kind = config.get("estimator.kind", "exact")
-    peak = (exact_peak_bytes(n_spins, config.get("protocol.mode", "average"))
-            if kind == "exact" else typicality_peak_bytes(n_spins))
+    peak = exact_peak_bytes(n_spins, mode) if kind == "exact" else typicality_peak_bytes(n_spins)
     need = n_parallel * (workspace_bytes(n_spins, n_pairs) + peak)
     have = _physical_memory()
     if need > have:
@@ -69,19 +71,11 @@ def _capacity_check(config: RunConfig, network, n_parallel: int):
             f"{have / 2**30:.2f} GiB of physical memory")
 
 
-def _run_one(config: RunConfig, network, p: float, seed: int) -> ClusterTrajectory:
-    traj = trajectory(network, config.build_protocol(p), config.estimator_config(seed))
-    traj.metadata["base_seed"] = traj.metadata["seed"]
-    traj.metadata["seed"] = int(seed)
-    traj.metadata["label"] = config.label
-    return traj
-
-
-def _simulate_task(config_text: str, p: float, seed: int) -> str:
-    # process-pool entry point: rebuild everything from the serialized config
-    config = RunConfig.parse(config_text)
-    traj = _run_one(config, config.build_network(), p, seed)
-    return sqio.format_trajectory(traj, config.digest())
+def _simulate_task(network, label: str, digest: str, protocol, estimator, seed: int) -> str:
+    """The trajectory file body of one (p, seed) task."""
+    traj = trajectory(network, protocol, estimator)
+    traj.metadata.update(base_seed=traj.metadata["seed"], seed=int(seed), label=label)
+    return sqio.format_trajectory(traj, digest)
 
 
 def cmd_simulate(config: RunConfig, out_dir) -> dict:
@@ -89,12 +83,12 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     out = _ensure_outdir(out_dir)
     network = config.build_network()
     digest = config.digest()
-    # every task is validated and listed, and capacity checked, before any is computed
+    # every task is built and listed, and capacity checked, before any is computed
     tasks, skipped = [], []
     for p in config.p_sweep:
-        config.build_protocol(p)
+        protocol = config.build_protocol(p)
         for seed in config.seeds:
-            config.estimator_config(seed)
+            estimator = config.estimator_config(seed)
             path = out / sqio.trajectory_filename(p, seed)
             if path.exists():
                 try:
@@ -104,26 +98,18 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
                 if existing is not None and existing.metadata.get("config_digest") == digest:
                     skipped.append(str(path))
                     continue
-            tasks.append((p, seed, path))
-
-    n_workers = worker_count()
-    if tasks:
-        _capacity_check(config, network, min(n_workers, len(tasks)))
-    written = []
-    if n_workers > 1 and len(tasks) > 1:
-        text = config.serialize()
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            bodies = pool.map(_simulate_task, [text] * len(tasks),
-                              [t[0] for t in tasks], [t[1] for t in tasks])
-            for (p, seed, path), body in zip(tasks, bodies):
-                sqio.atomic_write_text(path, body)
-                written.append(str(path))
-    else:
-        for p, seed, path in tasks:
-            traj = _run_one(config, network, p, seed)
-            sqio.write_trajectory_file(path, traj, digest)
-            written.append(str(path))
-    return {"written": written, "skipped": skipped, "config_digest": digest}
+            tasks.append((str(path), protocol, estimator, seed))
+    n_workers = min(worker_count(), len(tasks))
+    if not tasks:
+        return {"written": [], "skipped": skipped, "config_digest": digest}
+    paths, protocols, estimators, seeds = zip(*tasks)
+    _capacity_check(network, protocols[0].mode, estimators[0].kind, n_workers)
+    run = partial(_simulate_task, network, config.label, digest)
+    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+        bodies = (pool.map if pool else map)(run, protocols, estimators, seeds)
+        for path, body in zip(paths, bodies):
+            sqio.atomic_write_text(path, body)
+    return {"written": list(paths), "skipped": skipped, "config_digest": digest}
 
 
 def cmd_synth(config: RunConfig, out_dir) -> dict:
@@ -185,6 +171,9 @@ def cmd_scale(config: RunConfig, out_dir) -> dict:
         raise ConfigError(f"collapse needs >= 3 curves at distinct p, "
                           f"found {len(combined)} (p={[tr.p for tr in combined]})")
     anchor_p = config.get("scale.anchor_p", max(tr.p for tr in combined))
+    if not any(math.isclose(tr.p, anchor_p, rel_tol=1e-9, abs_tol=1e-9) for tr in combined):
+        raise ConfigError(f"scale.anchor_p = {anchor_p} is not among the input p values "
+                          f"{[tr.p for tr in combined]}")
     result = full_scaling_analysis(
         combined, anchor_p=anchor_p, beta_grid=config.get("scale.beta_grid"),
         t_min=config.get("scale.t_min"), growth_t_min=config.get("scale.growth_t_min"),
@@ -236,10 +225,7 @@ def cmd_plot(config: RunConfig, out_dir) -> dict:
     """SVG figures from trajectory files and, when given, a scale report."""
     out = _ensure_outdir(out_dir)
     combined = load_input_trajectories(config, key="plot.input_dir")
-    figures = {}
-
-    figures["trajectories"] = plots.plot_trajectories(combined)
-
+    figures = {"trajectories": plots.plot_trajectories(combined)}
     spectral = next((tr for tr in combined if tr.spectra), None)
     if spectral is not None:
         figures["spectrum_heatmap"] = plots.plot_spectrum_heatmap(spectral)

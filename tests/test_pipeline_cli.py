@@ -54,6 +54,12 @@ synth.alpha = 3.0
 synth.time_grid = geom:1.0:300.0:30
 """
 
+# SIM_SMALL as a Floquet typicality sweep over 2 p and 2 seeds
+SIM_FLOQUET_TYP = SIM_SMALL.replace(
+    "protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3").replace(
+    "geom:0.4:1.6:3", "1, 2").replace("seeds = 0", "seeds = 0, 1").replace(
+    "estimator.kind = exact", "estimator.kind = typicality\nestimator.n_samples = 2")
+
 SCALE_KEYS = """
 scale.input_dir = {input_dir}
 scale.beta_grid = 0.0, 1.0
@@ -67,6 +73,13 @@ def write_cfg(directory, text, name="run.cfg"):
     path = Path(directory) / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def with_order_columns(text, names, values):
+    """A trajectory file's text with columns names appended to time,K and
+    values appended to every data row."""
+    head, _, rows = text.partition("time,K\n")
+    return head + f"time,K,{names}\n" + "".join(f"{row},{values}\n" for row in rows.splitlines())
 
 
 def count_tags(svg_text, local_name):
@@ -150,14 +163,21 @@ class TestSimulate:
         assert len(summary["skipped"]) == 2
 
     def test_corrupt_file_is_recomputed(self, tmp_path):
+        """A scribble, an order column that is no number and a spectrum row
+        whose weights sum to 1.0001 each make a file unreadable, so simulate
+        writes it again."""
         config = RunConfig.parse(SIM_SMALL)
         cmd_simulate(config, tmp_path)
         victim = tmp_path / "traj_p0.000000_seed0.csv"
-        victim.write_text("scribble\n", encoding="utf-8")
-        summary = cmd_simulate(config, tmp_path)
-        assert [Path(p).name for p in summary["written"]] == [victim.name]
-        assert len(summary["skipped"]) == 1
-        assert sqio.read_trajectory_file(victim).metadata["config_digest"] == config.digest()
+        good = victim.read_text(encoding="utf-8")
+        for corrupt in ("scribble\n", with_order_columns(good, "ax", "1.0"),
+                        with_order_columns(good, "a-1,a0,a1", "0.2,0.6,0.2001")):
+            victim.write_text(corrupt, encoding="utf-8")
+            summary = cmd_simulate(config, tmp_path)
+            assert [Path(p).name for p in summary["written"]] == [victim.name]
+            assert len(summary["skipped"]) == 1
+            assert sqio.read_trajectory_file(victim).metadata["config_digest"] == config.digest()
+            assert victim.read_text(encoding="utf-8") == good
 
     def test_perturbation_slows_late_growth(self, tmp_path):
         # 10 spins, exact: the clean quench should reach larger clusters
@@ -281,14 +301,17 @@ class TestSimulate:
             cmd_simulate(RunConfig.parse(text), tmp_path)
         assert list(tmp_path.glob("traj_*")) == []
 
-    def test_parallel_output_matches_serial(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("text", [pytest.param(SIM_SMALL, id="exact"),
+                                      pytest.param(SIM_FLOQUET_TYP, id="typicality-floquet")])
+    def test_parallel_output_matches_serial(self, tmp_path, monkeypatch, text):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        config = RunConfig.parse(SIM_SMALL)
+        config = RunConfig.parse(text)
         monkeypatch.delenv("SPINQUENCH_WORKERS", raising=False)
         cmd_simulate(config, serial)
         monkeypatch.setenv("SPINQUENCH_WORKERS", "2")
         summary = cmd_simulate(config, parallel)
-        assert len(summary["written"]) == 2
+        assert len(summary["written"]) == len(config.p_sweep) * len(config.seeds)
+        assert sorted(p.name for p in parallel.iterdir()) == sorted(p.name for p in serial.iterdir())
         for path in sorted(serial.iterdir()):
             assert (parallel / path.name).read_bytes() == path.read_bytes()
 
@@ -442,6 +465,27 @@ class TestScaleCommand:
         assert report["config_digest"] == config.digest()
         assert sorted(row["beta"] for row in report["beta_scan"]) == sorted(
             config.get("scale.beta_grid"))
+
+    def test_off_grid_anchor_exits_two(self, planted_family, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SYNTH_FAMILY
+                        + f"scale.input_dir = {planted_family['synth_dir']}\n"
+                        + "scale.beta_grid = 1.0\nscale.anchor_p = 0.05\n"
+                        + "scale.n_bootstrap = 0\n")
+        assert main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "scale.anchor_p = 0.05 is not among the input p values" in err
+        assert "0.01, 0.02, 0.03, 0.04, 0.07, 0.09, 0.12" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_corrupt_spectrum_row_exits_two(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        cmd_simulate(RunConfig.parse(SIM_SMALL), runs)
+        victim = runs / "traj_p0.000000_seed0.csv"
+        victim.write_text(with_order_columns(victim.read_text(encoding="utf-8"), "a-1,a0,a1",
+                                             "0.2,0.6,0.2001"), encoding="utf-8")
+        cfg = write_cfg(tmp_path, f"scale.input_dir = {runs}\n")
+        assert main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "weights must sum to 1" in capsys.readouterr().err
 
     def test_too_few_distinct_p_rejected(self, tmp_path):
         for p in (0.1, 0.2):
@@ -606,6 +650,21 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, text + f"scale.input_dir = {tmp_path}\n{key} = ,\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        pytest.param(command, key, value, id=key) for command, key, value in [
+            ("simulate", "seeds", "0, -2"), ("simulate", "estimator.base_seed", "-1"),
+            ("simulate", "geometry.seed", "-1"), ("synth", "synth.seed", "-1"),
+            ("scale", "scale.bootstrap_seed", "-1")]])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command, key, value):
+        base = SIM_SMALL if command == "simulate" else SYNTH_FAMILY
+        text = "".join(line + "\n" for line in base.splitlines()
+                       if not line.startswith(f"{key} ="))
+        cfg = write_cfg(tmp_path, text + f"scale.input_dir = {tmp_path}\n{key} = {value}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {key}: a seed must be >= 0" in err
         assert not (tmp_path / "o").exists()
 
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
