@@ -291,25 +291,61 @@ def _exact_blocks(basis: SpinBasis) -> list[_Block]:
 
 def exact_peak_bytes(n_spins: int, mode: str) -> int:
     """Peak bytes evolve_density_exact allocates beyond the workspace: real
-    d x d arrays alive at once, d = 2^(n-2) for even n (two parity blocks
-    of +- halves), 2^(n-1) for odd n (one block), plus 48 MiB for BLAS
-    buffers and freed arrays the allocator keeps (6-32 MiB at n = 10-14).
-      average, even: 12 at a grid time = V+, V-, W of both blocks 6, the
-        complex phases 2, Re X and Im X 2, weight temporaries 2; the
-        second block's set-up stays below, 10 = the first block's V+, V-,
-        W 3, H+ and H- 2, V+ 1, eigh's copy, work and output 4
+    d x d arrays of the one block alive at a time, d = 2^(n-2) for even n
+    (two parity blocks of +- halves), 2^(n-1) for odd n (one block), plus
+    48 MiB for BLAS buffers and freed arrays the allocator keeps (6-32 MiB
+    at n = 10-14).
+      average, even: 9 at a grid time = V+, V- and W 3, the complex phases
+        2, Re X and Im X 2, weight temporaries 2; the set-up stays below
       average, odd: 8 = V and W 2, phases 2, X 2, temporaries 2
-      floquet, even: 16 = both blocks' u+ and u-^dag 8, their X 4, and in
-        a cycle step the product u+ X and the new X 4 (weight temporaries
-        and the second block's set-up, one half at a time, stay at or below)
-      floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4
+      floquet, even: 12 in the set-up's unitary(H0+) = exp(-i tau_dd H1+)
+        2, H0+, H0- and H1- 3, V 1, V times the phases 2, V^T cast to
+        complex 2, the unitary 2; the - half's set-up matches it and a
+        cycle step (u+, u-^dag, X, u+ X, the new X: 10) stays below
+      floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4, as in the set-up
     Raises CapacityError past MAX_DENSE_SPINS, before any allocation."""
     if n_spins > MAX_DENSE_SPINS:
         raise CapacityError(f"exact estimator capped at {MAX_DENSE_SPINS} spins, geometry has "
                             f"{n_spins}; use the typicality estimator")
     d = 1 << (n_spins - 2 + n_spins % 2)
-    arrays = ((16, 10) if mode == "floquet" else (12, 8))[n_spins % 2]
+    arrays = ((12, 10) if mode == "floquet" else (9, 8))[n_spins % 2]
     return 8 * d * d * arrays + 48 * 2**20
+
+
+def _add_block_weights(network: CouplingNetwork, pr: QuenchProtocol, blk: _Block, w: np.ndarray):
+    """Add the order weights of blk at grid point j into w[j], for every j.
+
+    Average mode diagonalizes each half once, H+- = V+- E+- V+-^T, and
+    forms X = V+ (Phi+ o W o Phi-^*) V-^T with W = V+^T diag(m) V- and
+    Phi = exp(-i E t).  Floquet mode steps X <- u+ X u-^dag from diag(m)
+    with the one-cycle unitaries u = exp(-i tau_dd H1) exp(-i tau_0 H0) of
+    the two halves (u and u^dag for odd n).
+    """
+    if pr.mode == "average":
+        # (E, V) of the left and right half, the same one for odd n
+        eigs = [np.linalg.eigh(h) for h in blk.hamiltonians(network, pr.p)]
+        (el, vl), (er, vr) = eigs[0], eigs[-1]
+        wb = vl.T @ (blk.mz[:, None] * vr)
+        for j, t in enumerate(pr.time_grid):
+            ph = np.outer(np.exp(-1j * el * t), np.exp(1j * er * t))
+            w[j] += blk.weights(vl @ (wb * ph.real) @ vr.T, vl @ (wb * ph.imag) @ vr.T)
+        return
+
+    def unitary(h, tau):
+        e, v = np.linalg.eigh(h)
+        return (v * np.exp(-1j * e * tau)) @ v.T
+
+    h0s, h1s = blk.hamiltonians(network, 0.0), blk.hamiltonians(network, 1.0)
+    # one half at a time, each Hamiltonian dropped once diagonalized
+    us = [unitary(h1s.pop(0), pr.tau_dd) @ unitary(h0s.pop(0), pr.tau_0) for _ in range(len(h0s))]
+    ul, ur_dag = us[0], us.pop().conj().T  # u- is dropped once its adjoint is formed
+    x = np.diag(blk.mz).astype(np.complex128)
+    done = 0
+    for j, count in enumerate(pr.time_grid):
+        for _ in range(int(round(count)) - done):
+            x = ul @ x @ ur_dag
+        done = int(round(count))
+        w[j] += blk.weights(x.real, x.imag)
 
 
 def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol):
@@ -320,57 +356,13 @@ def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol):
     swaps the parity blocks, so only the even one is evolved.  For even n,
     F splits each parity block into +- halves of dimension 2^(n-2) with
     Iz |+_s> = m_s |-_s>, so rho(t) = [[0, X], [X^dag, 0]] with
-    X = U+ Iz U-^dag.  Average mode diagonalizes each half once,
-    H+- = V+- E+- V+-^T, and forms X = V+ (Phi+ o W o Phi-^*) V-^T with
-    W = V+^T diag(m) V- and Phi = exp(-i E t).  Floquet mode steps
-    X <- u+ X u-^dag with the one-cycle unitaries u of each half.
-    No 2^n x 2^n array is formed.
+    X = U+ Iz U-^dag.  Each block is evolved over the whole grid before
+    the next one starts, so one block's arrays are alive at a time; all
+    the work is done before the first yield.  No 2^n x 2^n array is formed.
     """
-    n = network.n_spins
-    exact_peak_bytes(n, protocol.mode)
-    blocks = _exact_blocks(workspace_for(network).basis)
-    pr = protocol
-
-    if pr.mode == "average":
-        # per block: (E, V) of the left and right half (the same one for odd n), W
-        setups = []
-        for blk in blocks:
-            eigs = [np.linalg.eigh(h) for h in blk.hamiltonians(network, pr.p)]
-            (_, vl), (_, vr) = eigs[0], eigs[-1]
-            setups.append((blk, eigs[0], eigs[-1], vl.T @ (blk.mz[:, None] * vr)))
-        for t in pr.time_grid:
-            w = np.zeros(2 * n + 1)
-            for blk, (el, vl), (er, vr), wb in setups:
-                ph = np.outer(np.exp(-1j * el * t), np.exp(1j * er * t))
-                w += blk.weights(vl @ (wb * ph.real) @ vr.T, vl @ (wb * ph.imag) @ vr.T)
-            yield float(t), w
-    else:
-        def unitary(h, tau):
-            e, v = np.linalg.eigh(h)
-            return (v * np.exp(-1j * e * tau)) @ v.T
-
-        def cycle(blk):
-            """(u+, u-^dag) of the one-cycle unitaries u = exp(-i tau_dd H1)
-            exp(-i tau_0 H0) of the two halves, or (u, u^dag) for odd n.
-
-            One half at a time, each Hamiltonian dropped once diagonalized,
-            so the set-up stays within the cycle loop's peak."""
-            h0s, h1s = blk.hamiltonians(network, 0.0), blk.hamiltonians(network, 1.0)
-            us = []
-            while h0s:
-                us.append(unitary(h1s.pop(0), pr.tau_dd) @ unitary(h0s.pop(0), pr.tau_0))
-            return us[0], us[-1].conj().T
-
-        cycles = [(blk, *cycle(blk)) for blk in blocks]
-        xs = [np.diag(blk.mz).astype(np.complex128) for blk in blocks]
-        done = 0
-        for count in pr.time_grid:
-            for _ in range(int(round(count)) - done):
-                # one block at a time, so only one old X outlives its update
-                for i, (_, ul, ur_dag) in enumerate(cycles):
-                    xs[i] = ul @ xs[i] @ ur_dag
-            done = int(round(count))
-            w = np.zeros(2 * n + 1)
-            for i, (blk, _, _) in enumerate(cycles):
-                w += blk.weights(xs[i].real, xs[i].imag)
-            yield float(count) * (pr.tau_0 + pr.tau_dd), w
+    exact_peak_bytes(network.n_spins, protocol.mode)
+    w = np.zeros((protocol.time_grid.size, 2 * network.n_spins + 1))
+    for blk in _exact_blocks(workspace_for(network).basis):
+        _add_block_weights(network, protocol, blk, w)
+    for t, wt in zip(protocol.times, w):
+        yield float(t), wt

@@ -102,8 +102,7 @@ def read_trajectory_file(path) -> ClusterTrajectory:
     if p is None:
         raise ConfigError(f"{path}: metadata lacks p")
     try:
-        spectra = [MqcSpectrum(np.array(orders), data[i, 2:], time=data[i, 0], p=p,
-                               estimator=meta.get("estimator", "exact"))
+        spectra = [MqcSpectrum(np.array(orders), data[i, 2:])
                    for i in range(data.shape[0])] if orders else None
         return ClusterTrajectory(p=p, times=data[:, 0], K=data[:, 1],
                                  spectra=spectra, metadata=meta)

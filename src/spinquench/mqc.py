@@ -45,10 +45,6 @@ class MqcSpectrum:
 
     orders: np.ndarray
     weights: np.ndarray
-    time: float
-    p: float
-    estimator: str
-    n_samples: int = 0
     std_err: np.ndarray | None = None
 
     def __post_init__(self):
@@ -63,8 +59,6 @@ class MqcSpectrum:
             raise ValueError("weights must be finite and non-negative")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        if self.estimator not in ("exact", "typicality"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.std_err is not None:
             se = np.asarray(self.std_err, dtype=float)
             if se.shape != orders.shape or np.any(se < 0):
@@ -148,7 +142,7 @@ class EstimatorConfig:
             raise ValueError("n_samples must be >= 1")
 
 
-def mqc_exact(weights: np.ndarray, *, time: float = 0.0, p: float = 0.0) -> MqcSpectrum:
+def mqc_exact(weights: np.ndarray) -> MqcSpectrum:
     """Spectrum from unnormalized order weights w[n + order] = sum |rho_rc|^2.
 
     The squared-magnitude total is Tr[rho rho^dag], which unitary
@@ -159,8 +153,7 @@ def mqc_exact(weights: np.ndarray, *, time: float = 0.0, p: float = 0.0) -> MqcS
     if not np.isfinite(total) or total <= 0.0:
         raise UndefinedSpectrumError("zero (or non-finite) density matrix has no coherence distribution")
     n = (weights.size - 1) // 2
-    return MqcSpectrum(orders=np.arange(-n, n + 1), weights=weights / total, time=time, p=p,
-                       estimator="exact")
+    return MqcSpectrum(orders=np.arange(-n, n + 1), weights=weights / total)
 
 
 def typicality_peak_bytes(n_spins: int) -> int:
@@ -196,8 +189,7 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
     basis = workspace_for(network).basis
     n = basis.n_spins
     prop = Propagator(network, protocol)
-    times = protocol.times
-    n_t = times.size
+    n_t = protocol.time_grid.size
     ups = np.arange((n + 1) // 2, n + 1)
     # column c of the block keeps the sector with ups[c] spins up
     in_sector = basis.n_up[:, None] == ups
@@ -229,10 +221,7 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
         std_err = per_sample.std(axis=0, ddof=1) / math.sqrt(n_samples)
     else:
         std_err = np.zeros_like(mean)
-    orders = np.arange(-n, n + 1)
-    return [MqcSpectrum(orders=orders, weights=mean[j], time=float(times[j]), p=protocol.p,
-                        estimator="typicality", n_samples=n_samples, std_err=std_err[j])
-            for j in range(n_t)]
+    return [MqcSpectrum(np.arange(-n, n + 1), m, se) for m, se in zip(mean, std_err)]
 
 
 def _gaussian_k(ks: np.ndarray, a: np.ndarray, n_spins: int) -> float:
@@ -302,17 +291,16 @@ def cluster_size(spectrum: MqcSpectrum, method: str = "halfwidth") -> float:
 def trajectory(network: CouplingNetwork, protocol: QuenchProtocol,
                estimator: EstimatorConfig = EstimatorConfig()) -> ClusterTrajectory:
     """K(t) over the protocol grid with the chosen estimator."""
-    basis = workspace_for(network).basis
     meta = {
         "geometry": network.geometry.label,
         "seed": estimator.base_seed,
         "protocol_digest": protocol.digest(),
         "estimator": estimator.kind,
-        "n_spins": basis.n_spins,
+        "n_spins": network.n_spins,
         "p": protocol.p,
     }
     if estimator.kind == "exact":
-        spectra = [mqc_exact(w, time=t, p=protocol.p) for t, w in evolve_density_exact(network, protocol)]
+        spectra = [mqc_exact(w) for _, w in evolve_density_exact(network, protocol)]
     else:
         spectra = mqc_typicality_grid(network, protocol, estimator)
     ks = np.array([cluster_size(s, method=estimator.k_method) for s in spectra])

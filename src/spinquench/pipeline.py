@@ -71,6 +71,17 @@ def _capacity_check(network, mode: str, kind: str, n_parallel: int):
             f"{have / 2**30:.2f} GiB of physical memory")
 
 
+def _one_file_each(key: str, values, filename):
+    """Raise ConfigError when two values of key name the same file, so
+    that no task silently overwrites another's."""
+    seen = {}
+    for value in values:
+        name = filename(value)
+        if name in seen:
+            raise ConfigError(f"{key}: {seen[name]!r} and {value!r} both write {name}")
+        seen[name] = value
+
+
 def _simulate_task(network, label: str, digest: str, protocol, estimator, seed: int) -> str:
     """The trajectory file body of one (p, seed) task."""
     traj = trajectory(network, protocol, estimator)
@@ -80,14 +91,17 @@ def _simulate_task(network, label: str, digest: str, protocol, estimator, seed: 
 
 def cmd_simulate(config: RunConfig, out_dir) -> dict:
     """One trajectory file per (p, seed); resumes by config digest."""
+    ps, seeds = config.p_sweep, config.seeds
+    _one_file_each("p_sweep", ps, lambda p: sqio.trajectory_filename(p, seeds[0]))
+    _one_file_each("seeds", seeds, lambda seed: sqio.trajectory_filename(ps[0], seed))
     out = _ensure_outdir(out_dir)
     network = config.build_network()
     digest = config.digest()
     # every task is built and listed, and capacity checked, before any is computed
     tasks, skipped = [], []
-    for p in config.p_sweep:
+    for p in ps:
         protocol = config.build_protocol(p)
-        for seed in config.seeds:
+        for seed in seeds:
             estimator = config.estimator_config(seed)
             path = out / sqio.trajectory_filename(p, seed)
             if path.exists():
@@ -114,8 +128,10 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
 
 def cmd_synth(config: RunConfig, out_dir) -> dict:
     """Synthetic trajectories from the planted scaling form, same file format."""
-    out = _ensure_outdir(out_dir)
     params = config.synth_params()
+    _one_file_each("synth.p_list", params["p_list"],
+                   lambda p: sqio.trajectory_filename(p, params["seed"]))
+    out = _ensure_outdir(out_dir)
     try:
         trajs = synth_trajectories(**params)
     except ValueError as exc:

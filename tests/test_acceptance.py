@@ -82,8 +82,8 @@ def test_01_selection_rules(chain6, lattice8, lattice10):
         for net in (chain6, lattice8, lattice10):
             for p in (0.0, 0.3, 0.7, 1.0):
                 proto = QuenchProtocol.average(p, times)
-                for t, w in evolve_density_exact(net, proto):
-                    spec = mqc_exact(w, time=t, p=p)
+                for _, w in evolve_density_exact(net, proto):
+                    spec = mqc_exact(w)
                     odd = spec.weights[spec.orders % 2 != 0]
                     worst_odd = max(worst_odd, float(np.abs(odd).max()))
         check(worst_odd == 0.0,
@@ -115,7 +115,7 @@ def test_02_oracle_equivalence(chain6, lattice8, lattice10):
         for net, n in ((lattice8, 8), (lattice10, 10)):
             for p in (0.0, 0.5):
                 proto = QuenchProtocol.average(p, times)
-                exact = [mqc_exact(w, time=t, p=p) for t, w in evolve_density_exact(net, proto)]
+                exact = [mqc_exact(w) for _, w in evolve_density_exact(net, proto)]
                 typ = mqc_typicality_grid(net, proto, EstimatorConfig(n_samples=16, base_seed=2))
                 for sp_t, sp_e in zip(typ, exact):
                     for o in range(-n, n + 1):

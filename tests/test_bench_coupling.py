@@ -1,21 +1,36 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps package entry points
-by name and unpacks some of their arguments.  A rename or a changed
-signature here would break only traced benchmark runs, at benchmark time;
-these tests catch it in the ordinary suite.  The tracer is loaded, never
-installed, so no entry point is replaced.
+by name and unpacks some of their arguments, and its harness
+(perfbench/child.py, perfbench/run.py) calls a few more directly.  A
+rename or a changed signature here would break only benchmark runs, at
+benchmark time; these tests catch it in the ordinary suite.  The tracer
+is loaded, never installed, so no entry point is replaced.
 """
 
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spinquench.mqc
+from spinquench import operators, pipeline
+from spinquench.config import RunConfig
 from spinquench.evolution import Propagator, _apply_mixed_array
 from spinquench.io import atomic_write_text
 from spinquench.scaling import bootstrap_fit_xi
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+BENCH_CONFIG = """
+run.label = quad
+geometry.kind = cubic_lattice
+geometry.shape = 2, 2, 1
+protocol.mode = average
+protocol.time_grid = 0.5, 1.0
+p_sweep = 0.0, 0.3, 0.6
+estimator.kind = exact
+"""
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +59,23 @@ def test_bootstrap_and_write_hooks_keep_their_arguments():
     # by name; the write hook reads the text as the second positional one
     assert "n_resamples" in inspect.signature(bootstrap_fit_xi).parameters
     assert list(inspect.signature(atomic_write_text).parameters)[1] == "text"
+
+
+def test_exact_path_is_stepped_as_a_generator():
+    # the tracer times each next() of it as evolution.exact_first/_step
+    assert inspect.isgeneratorfunction(spinquench.mqc.evolve_density_exact)
+
+
+def test_harness_calls_resolve(tmp_path):
+    # child.py's set-up timing builds the workspace (simulate) or loads the
+    # input trajectories (scale); run.py's h_norms applies H(p) to 1-D vectors
+    config = RunConfig.parse(BENCH_CONFIG + f"scale.input_dir = {tmp_path}\n")
+    network = config.build_network()
+    ws = operators.workspace_for(network)
+    dim = ws.basis.dimension
+    v = np.random.default_rng(0).standard_normal(dim)
+    hv = operators._apply_mixed_array(ws, 0.3, v)
+    assert hv.shape == (dim,)
+    np.testing.assert_allclose(hv, operators.dense_hamiltonian(network, 0.3) @ v, atol=1e-12)
+    pipeline.cmd_simulate(config, tmp_path)
+    assert [tr.p for tr in pipeline.load_input_trajectories(config)] == [0.0, 0.3, 0.6]

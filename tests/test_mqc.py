@@ -30,27 +30,22 @@ def jittered_network(n, seed):
     return dipolar_couplings(SpinGeometry(pos, Z))
 
 
-def spectrum_from_weights(orders, weights, **kw):
+def spectrum_from_weights(orders, weights):
     w = np.asarray(weights, dtype=float)
-    return MqcSpectrum(orders=np.asarray(orders), weights=w / w.sum(),
-                       time=kw.pop("time", 1.0), p=kw.pop("p", 0.0),
-                       estimator=kw.pop("estimator", "exact"), **kw)
+    return MqcSpectrum(orders=np.asarray(orders), weights=w / w.sum())
 
 
 class TestSpectrumValidation:
     def test_orders_must_be_contiguous_symmetric(self):
         with pytest.raises(ValueError, match="contiguously"):
-            MqcSpectrum(orders=np.array([0, 1, 2]), weights=np.array([1.0, 0, 0]),
-                        time=0.0, p=0.0, estimator="exact")
+            MqcSpectrum(orders=np.array([0, 1, 2]), weights=np.array([1.0, 0, 0]))
 
     def test_weights_checked(self):
         orders = np.arange(-1, 2)
         with pytest.raises(ValueError, match="sum to 1"):
-            MqcSpectrum(orders=orders, weights=np.array([0.2, 0.2, 0.2]),
-                        time=0.0, p=0.0, estimator="exact")
+            MqcSpectrum(orders=orders, weights=np.array([0.2, 0.2, 0.2]))
         with pytest.raises(ValueError, match="non-negative"):
-            MqcSpectrum(orders=orders, weights=np.array([-0.5, 1.0, 0.5]),
-                        time=0.0, p=0.0, estimator="exact")
+            MqcSpectrum(orders=orders, weights=np.array([-0.5, 1.0, 0.5]))
 
     def test_even_envelope_symmetrizes(self):
         s = spectrum_from_weights(np.arange(-2, 3), [0.1, 0.0, 0.6, 0.0, 0.3])
@@ -138,7 +133,7 @@ class TestTypicality:
         net = jittered_network(5, 3)
         prot = QuenchProtocol.average(0.4, [0.0, 0.5])
         spec = mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=3, base_seed=0))[0]
-        assert spec.estimator == "typicality"
+        assert spec.std_err is not None
         assert spec.weight(0) > 1.0 - 1e-9
         assert np.all(np.delete(spec.weights, 5) < 1e-9)
 
@@ -180,7 +175,7 @@ class TestTypicality:
         grid = np.array([0.3, 0.9, 2.0])
         prot = QuenchProtocol.average(0.3, grid)
         approx = mqc_typicality_grid(net, prot, EstimatorConfig(n_samples=8, base_seed=1))
-        exact = [mqc_exact(w, time=t, p=0.3) for t, w in evolve_density_exact(net, prot)]
+        exact = [mqc_exact(w) for _, w in evolve_density_exact(net, prot)]
         agree = total = 0
         for sa, se in zip(approx, exact):
             dev = np.abs(sa.weights - se.weights)

@@ -204,13 +204,13 @@ class TestSimulate:
 
     def test_exact_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The exact check compares a byte estimate of the block path with
-        physical memory: in average mode 12 real d x d arrays, d = 2^(n-2)
-        for even n, plus 48 MiB, plus the workspace: 12 B per state for the
-        diagonal and each coupled pair of the sparse H_0 + H_dd and 26 B
-        per state for the basis and indptr.  The 5x2x1 lattice has 10 spins
-        and 45 pairs, so d = 256."""
+        physical memory: in average mode 9 real d x d arrays of one block,
+        d = 2^(n-2) for even n, plus 48 MiB, plus the workspace: 12 B per
+        state for the diagonal and each coupled pair of the sparse
+        H_0 + H_dd and 26 B per state for the basis and indptr.  The 5x2x1
+        lattice has 10 spins and 45 pairs, so d = 256."""
         text = SIM_SMALL.replace("2, 2, 1", "5, 2, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0")
-        need = 8 * 256 * 256 * 12 + 48 * 2**20 + 12 * 1024 * (45 + 1) + 26 * 1024
+        need = 8 * 256 * 256 * 9 + 48 * 2**20 + 12 * 1024 * (45 + 1) + 26 * 1024
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -221,18 +221,21 @@ class TestSimulate:
         assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 1
 
     def test_exact_capacity_counts_floquet_unitaries(self, tmp_path, monkeypatch):
-        """Floquet mode holds the one-cycle unitaries and the cycle products
-        of every block: 16 real d x d arrays for even n, 10 for odd n.  The
-        3x1x1 chain has 3 spins, 3 pairs and one block, d = 4."""
-        text = SIM_SMALL.replace("2, 2, 1", "3, 1, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
-            .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
-            .replace("geom:0.4:1.6:3", "1, 2")
-        need = 8 * 4 * 4 * 10 + 48 * 2**20 + 12 * 8 * (3 + 1) + 26 * 8
-        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
-        with pytest.raises(CapacityError, match="physical memory"):
-            cmd_simulate(RunConfig.parse(text), tmp_path)
-        monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
-        assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 1
+        """Floquet mode holds one block's one-cycle unitaries: 10 real d x d
+        arrays for odd n (a cycle step), 12 for even n (the unitaries'
+        set-up).  The 3x1x1 chain has 3 spins, 3 pairs and one block,
+        d = 4; the 5x2x1 lattice has 10 spins and 45 pairs, d = 256."""
+        for shape, n, pairs, d, arrays in (("3, 1, 1", 3, 3, 4, 10), ("5, 2, 1", 10, 45, 256, 12)):
+            text = SIM_SMALL.replace("2, 2, 1", shape).replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
+                .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
+                .replace("geom:0.4:1.6:3", "1, 2")
+            need = 8 * d * d * arrays + 48 * 2**20 + 12 * 2**n * (pairs + 1) + 26 * 2**n
+            out = tmp_path / f"n{n}"
+            monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
+            with pytest.raises(CapacityError, match="physical memory"):
+                cmd_simulate(RunConfig.parse(text), out)
+            monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
+            assert len(cmd_simulate(RunConfig.parse(text), out)["written"]) == 1
 
     def test_typicality_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The typicality check compares a byte estimate with physical
@@ -650,6 +653,27 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, text + f"scale.input_dir = {tmp_path}\n{key} = ,\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, lines, message", [
+        pytest.param("simulate", {"seeds": "0, 0", "p_sweep": "0.6, 0.6"},
+                     "p_sweep: 0.6 and 0.6 both write traj_p0.600000_seed0.csv", id="repeats"),
+        pytest.param("simulate", {"seeds": "0, 0"},
+                     "seeds: 0 and 0 both write traj_p0.000000_seed0.csv", id="seeds"),
+        pytest.param("simulate", {"p_sweep": "0.1, 0.1000001"},
+                     "p_sweep: 0.1 and 0.1000001 both write traj_p0.100000_seed0.csv",
+                     id="p_sweep"),
+        pytest.param("synth", {"synth.p_list": "0.01, 0.0100000001, 0.02"},
+                     "synth.p_list: 0.01 and 0.0100000001 both write traj_p0.010000_seed0.csv",
+                     id="synth.p_list")])
+    def test_two_tasks_one_file_exits_two(self, tmp_path, capsys, command, lines, message):
+        # trajectory_filename keeps 6 decimals of p, so near-equal p collide too
+        base = SIM_SMALL if command == "simulate" else SYNTH_FAMILY
+        text = "".join(line + "\n" for line in base.splitlines()
+                       if line.partition(" =")[0] not in lines)
+        cfg = write_cfg(tmp_path, text + "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, key, value", [
