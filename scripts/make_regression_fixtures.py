@@ -42,9 +42,7 @@ def blob14_network():
 def main():
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     net = blob14_network()
-    # halfwidth, not gaussian: the gaussian log-fit leans on tail orders that
-    # sit at the sampling noise floor early on and K jumps by factors of 2
-    est = EstimatorConfig(kind="typicality", n_samples=24, base_seed=0, k_method="halfwidth")
+    est = EstimatorConfig(kind="typicality", n_samples=24, base_seed=0)
     traj = trajectory(net, QuenchProtocol.average(0.0, GRID), est)
     print("full K:", " ".join(f"{k:.4f}" for k in traj.K))
     n = GROWTH_POINTS

@@ -2,11 +2,12 @@
 
 Design goals, in order: reproducibility (a config plus seeds pins every
 number the pipeline emits), typo safety (unknown keys are errors, every
-value must parse), and lossless round-trips (values are kept as the
-validated raw strings, so serialize(parse(text)) preserves content).
-The digest over the canonical serialization, minus the path keys
-(output.dir, scale.input_dir, plot.*), identifies a run for resume
-checks and is stamped into every file the run produces.
+value must parse), and one canonical form (values are kept as the
+validated raw strings in key order, so configs that set the same values
+compare and digest equal, whatever their layout or comments).
+The digest over that form, minus the path keys (output.dir,
+scale.input_dir, plot.*), identifies a run for resume checks and is
+stamped into every file the run produces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .evolution import DEFAULT_TOL, QuenchProtocol
+from .evolution import QuenchProtocol
 from .mqc import EstimatorConfig
 from .network import dipolar_couplings, generate_geometry
 
@@ -37,6 +38,14 @@ def _parse_list(raw: str, kind) -> list:
 
 def _parse_float_list(raw: str) -> list:
     return _parse_list(raw, float)
+
+
+def _parse_p_list(raw: str) -> list:
+    values = _parse_float_list(raw)
+    bad = [p for p in values if not 0.0 <= p <= 1.0]
+    if bad:
+        raise ValueError(f"entry {bad[0]} outside [0, 1]")
+    return values
 
 
 def _parse_int_list(raw: str) -> list:
@@ -84,20 +93,17 @@ SCHEMA = {
     "geometry.min_separation": float,
     "geometry.path": str,
     "geometry.field_axis": _parse_float_list,
-    "geometry.cutoff_radius": float,
     "geometry.seed": _parse_seed,
     "protocol.mode": str,
     "protocol.time_grid": _parse_grid,
     "protocol.tau_c": float,
-    "p_sweep": _parse_float_list,
+    "p_sweep": _parse_p_list,
     "seeds": _parse_seed_list,
     "estimator.kind": str,
     "estimator.n_samples": int,
     "estimator.base_seed": _parse_seed,
-    "estimator.k_method": str,
     "estimator.keep_spectra": _parse_bool,
-    "numerics.tol": float,
-    "synth.p_list": _parse_float_list,
+    "synth.p_list": _parse_p_list,
     "synth.p_c": float,
     "synth.nu": float,
     "synth.s": float,
@@ -161,9 +167,6 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.parse(text, source=str(path))
 
-    def serialize(self) -> str:
-        return "".join(f"{k} = {v}\n" for k, v in self.entries)
-
     def digest(self) -> str:
         payload = "".join(f"{k} = {v}\n" for k, v in self.entries if k not in _NON_SEMANTIC)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -192,9 +195,6 @@ class RunConfig:
     @property
     def p_sweep(self) -> list:
         (values,) = self.require("p_sweep")
-        for p in values:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"p_sweep entry {p} outside [0, 1]")
         return values
 
     @property
@@ -234,19 +234,17 @@ class RunConfig:
             raise ConfigError(f"invalid geometry: {exc}") from None
 
     def build_network(self):
-        return dipolar_couplings(self.build_geometry(),
-                                 cutoff_radius=self.get("geometry.cutoff_radius"))
+        return dipolar_couplings(self.build_geometry())
 
     def build_protocol(self, p: float) -> QuenchProtocol:
         mode = self.get("protocol.mode", "average")
         (grid,) = self.require("protocol.time_grid")
-        tol = self.get("numerics.tol", DEFAULT_TOL)
         try:
             if mode == "average":
-                return QuenchProtocol.average(p, grid, tol=tol)
+                return QuenchProtocol.average(p, grid)
             if mode == "floquet":
                 (tau_c,) = self.require("protocol.tau_c")
-                return QuenchProtocol.floquet(p, tau_c, grid, tol=tol)
+                return QuenchProtocol.floquet(p, tau_c, grid)
         except ValueError as exc:
             raise ConfigError(f"invalid protocol: {exc}") from None
         raise ConfigError(f"protocol.mode must be average or floquet, got {mode!r}")
@@ -260,7 +258,6 @@ class RunConfig:
         try:
             return EstimatorConfig(kind=kind, n_samples=self.get("estimator.n_samples", 8),
                                    base_seed=base,
-                                   k_method=self.get("estimator.k_method", "halfwidth"),
                                    keep_spectra=self.get("estimator.keep_spectra", False))
         except ValueError as exc:
             raise ConfigError(f"invalid estimator config: {exc}") from None

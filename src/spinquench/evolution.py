@@ -298,17 +298,17 @@ def exact_peak_bytes(n_spins: int, mode: str) -> int:
       average, even: 9 at a grid time = V+, V- and W 3, the complex phases
         2, Re X and Im X 2, weight temporaries 2; the set-up stays below
       average, odd: 8 = V and W 2, phases 2, X 2, temporaries 2
-      floquet, even: 12 in the set-up's unitary(H0+) = exp(-i tau_dd H1+)
-        2, H0+, H0- and H1- 3, V 1, V times the phases 2, V^T cast to
-        complex 2, the unitary 2; the - half's set-up matches it and a
-        cycle step (u+, u-^dag, X, u+ X, the new X: 10) stays below
-      floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4, as in the set-up
+      floquet, even: 10 in the set-up's unitary(H0+) = exp(-i tau_dd H1+)
+        2, H0+, H0- and H1- 3, V 1, V times the cosines or sines 1, their
+        real product with V^T 1, the unitary 2; the - half's set-up and a
+        cycle step (u+, u-^dag, X, u+ X, the new X) reach the same 10
+      floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4; the set-up stays below
     Raises CapacityError past MAX_DENSE_SPINS, before any allocation."""
     if n_spins > MAX_DENSE_SPINS:
         raise CapacityError(f"exact estimator capped at {MAX_DENSE_SPINS} spins, geometry has "
                             f"{n_spins}; use the typicality estimator")
     d = 1 << (n_spins - 2 + n_spins % 2)
-    arrays = ((12, 10) if mode == "floquet" else (9, 8))[n_spins % 2]
+    arrays = 10 if mode == "floquet" else (9, 8)[n_spins % 2]
     return 8 * d * d * arrays + 48 * 2**20
 
 
@@ -332,8 +332,12 @@ def _add_block_weights(network: CouplingNetwork, pr: QuenchProtocol, blk: _Block
         return
 
     def unitary(h, tau):
+        # two real products: a complex @ real product would first cast v.T to complex
         e, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * e * tau)) @ v.T
+        u = np.empty(v.shape, np.complex128)
+        u.real = (v * np.cos(e * tau)) @ v.T
+        u.imag = (v * -np.sin(e * tau)) @ v.T
+        return u
 
     h0s, h1s = blk.hamiltonians(network, 0.0), blk.hamiltonians(network, 1.0)
     # one half at a time, each Hamiltonian dropped once diagonalized

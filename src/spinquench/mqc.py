@@ -13,12 +13,13 @@ Two estimators produce the spectrum A(n) at each time:
 
 The cluster size is K = sigma^2 with sigma the half width at which the
 even-order envelope, log-linearly interpolated on the discrete order
-grid, falls to a(0)/e; a least-squares Gaussian fit is available as an
-alternative estimator and as the fallback when no unique crossing from
-order 0 exists.  The half width reads the core of the envelope, so at
-early times on small lattices it follows the coherent order 0 <-> +-2
-oscillation of strongly coupled pairs (a(0) ~ cos^2(d t)) and is not
-monotone there.
+grid, falls to a(0)/e.  A least-squares Gaussian fit of ln a = c - k^2/K
+is only the fallback, used when no unique crossing from order 0 exists;
+a Gaussian envelope A(n) ~ exp(-n^2/K) gives the same K either way, as
+it falls to a(0)/e at n = sqrt(K).  The half width reads the core of the
+envelope, so at early times on small lattices it follows the coherent
+order 0 <-> +-2 oscillation of strongly coupled pairs (a(0) ~ cos^2(d t))
+and is not monotone there.
 """
 
 from __future__ import annotations
@@ -130,14 +131,11 @@ class EstimatorConfig:
     kind: str = "exact"
     n_samples: int = 8
     base_seed: int = 0
-    k_method: str = "halfwidth"
     keep_spectra: bool = False
 
     def __post_init__(self):
         if self.kind not in ("exact", "typicality"):
             raise ValueError(f"estimator kind must be 'exact' or 'typicality', got {self.kind!r}")
-        if self.k_method not in ("halfwidth", "gaussian"):
-            raise ValueError(f"k_method must be 'halfwidth' or 'gaussian', got {self.k_method!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -238,23 +236,22 @@ def _gaussian_k(ks: np.ndarray, a: np.ndarray, n_spins: int) -> float:
     return -1.0 / slope
 
 
-def cluster_size(spectrum: MqcSpectrum, method: str = "halfwidth") -> float:
+def cluster_size(spectrum: MqcSpectrum) -> float:
     """Cluster size K = sigma^2 from the even-order envelope.
 
     sigma is where the envelope, log-linearly interpolated between
     adjacent even orders, first falls to a(0)/e, counting from order 0;
     a(2) may exceed a(0) on the way.  Returns 1 when a single order
     survives the noise floor and n_spins when the envelope never falls
-    to a(0)/e; clamps to [1, n_spins].  Falls back to the Gaussian fit,
-    with an EstimatorWarning, when a(0) is at the noise floor or the
-    envelope rises back to a(0)/e beyond the crossing.
+    to a(0)/e; clamps to [1, n_spins].  The Gaussian fit is only the
+    fallback, taken with an EstimatorWarning when a(0) is at the noise
+    floor or the envelope rises back to a(0)/e beyond the crossing; a
+    Gaussian envelope gives the same K either way.
 
     On small lattices the half width follows the early coherent
     oscillation of strongly coupled pairs between orders 0 and +-2, so
     K(t) is not monotone within the first pair period pi/d_max.
     """
-    if method not in ("halfwidth", "gaussian"):
-        raise ValueError(f"method must be 'halfwidth' or 'gaussian', got {method!r}")
     n_spins = spectrum.n_spins
     if n_spins == 0:
         return 1.0
@@ -263,9 +260,6 @@ def cluster_size(spectrum: MqcSpectrum, method: str = "halfwidth") -> float:
     # a single surviving order has no width, wherever it sits
     if np.count_nonzero(a) <= 1:
         return 1.0
-    if method == "gaussian":
-        return float(np.clip(_gaussian_k(ks, a, n_spins), 1.0, n_spins))
-
     if a[0] == 0.0:
         warnings.warn("order 0 at the noise floor; using Gaussian-fit fallback", EstimatorWarning)
         return float(np.clip(_gaussian_k(ks, a, n_spins), 1.0, n_spins))
@@ -303,6 +297,6 @@ def trajectory(network: CouplingNetwork, protocol: QuenchProtocol,
         spectra = [mqc_exact(w) for _, w in evolve_density_exact(network, protocol)]
     else:
         spectra = mqc_typicality_grid(network, protocol, estimator)
-    ks = np.array([cluster_size(s, method=estimator.k_method) for s in spectra])
+    ks = np.array([cluster_size(s) for s in spectra])
     return ClusterTrajectory(p=protocol.p, times=protocol.times, K=ks,
                              spectra=spectra if estimator.keep_spectra else None, metadata=meta)

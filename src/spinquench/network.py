@@ -6,6 +6,7 @@ r with internuclear angle theta to the static-field axis then couples with
 
     d_ij = (1 - 3 cos^2 theta_ij) / r_ij^3
 
+Every pair couples: the long range 1/r^3 tail is kept, with no cutoff.
 The largest |d_ij| of a network sets the natural time unit 1/d_max used by
 the evolution module.
 """
@@ -82,7 +83,6 @@ class CouplingNetwork:
 
     geometry: SpinGeometry
     couplings: np.ndarray
-    cutoff_radius: float | None = None
     d_max: float = 0.0
 
     def __post_init__(self):
@@ -111,34 +111,30 @@ class CouplingNetwork:
                     yield i, j, d[i, j]
 
 
-def dipolar_couplings(geometry: SpinGeometry, cutoff_radius: float | None = None) -> CouplingNetwork:
+def dipolar_couplings(geometry: SpinGeometry) -> CouplingNetwork:
     """Compute the reduced dipolar coupling matrix of a geometry.
 
-    d_ij = (1 - 3 cos^2 theta_ij) / r_ij^3 for r_ij <= cutoff_radius, else
-    exactly zero.  With no cutoff every pair couples, preserving the long
-    range 1/r^3 character of the interaction.
+    d_ij = (1 - 3 cos^2 theta_ij) / r_ij^3 for every pair, so the long
+    range 1/r^3 character of the interaction is kept in full.
     """
     pos = geometry.positions
     n = geometry.n_spins
     if n < 2:
-        return CouplingNetwork(geometry, np.zeros((n, n)), cutoff_radius)
+        return CouplingNetwork(geometry, np.zeros((n, n)))
     rvec = pos[:, None, :] - pos[None, :, :]
     r = np.linalg.norm(rvec, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_theta = (rvec @ geometry.field_axis) / r
         d = (1.0 - 3.0 * cos_theta**2) / r**3
     np.fill_diagonal(d, 0.0)
-    if cutoff_radius is not None:
-        d[r > cutoff_radius] = 0.0
     d = 0.5 * (d + d.T)  # remove last-bit asymmetry from the vector arithmetic
-    return CouplingNetwork(geometry, d, cutoff_radius)
+    return CouplingNetwork(geometry, d)
 
 
 def cubic_lattice_geometry(
     shape: tuple[int, int, int],
     spacing: float = 1.0,
     field_axis=DEFAULT_FIELD_AXIS,
-    label: str = "",
     seed: int = 0,
 ) -> SpinGeometry:
     """Simple cubic lattice of shape (n_x, n_y, n_z) with the given spacing."""
@@ -151,8 +147,7 @@ def cubic_lattice_geometry(
     if spacing <= 0:
         raise GeometryError("lattice spacing must be > 0")
     grid = np.mgrid[0:nx, 0:ny, 0:nz].reshape(3, -1).T * float(spacing)
-    label = label or f"cubic_{nx}x{ny}x{nz}"
-    return SpinGeometry(grid, np.asarray(field_axis, float), label, seed)
+    return SpinGeometry(grid, np.asarray(field_axis, float), f"cubic_{nx}x{ny}x{nz}", seed)
 
 
 def random_box_geometry(
@@ -161,14 +156,12 @@ def random_box_geometry(
     min_separation: float,
     seed: int,
     field_axis=DEFAULT_FIELD_AXIS,
-    label: str = "",
-    max_attempts_per_spin: int = 500,
 ) -> SpinGeometry:
     """Uniform random positions in a box, resampled until all pairs are
     at least ``min_separation`` apart.
 
-    Raises PackingError once the per-spin attempt budget runs out, which
-    signals an infeasible (too dense) packing request.
+    Raises PackingError once the budget of 500 draws per spin runs out,
+    which signals an infeasible (too dense) packing request.
     """
     if n < 1 or n > MAX_SPINS:
         raise GeometryError(f"n must be in [1, {MAX_SPINS}], got {n}")
@@ -180,7 +173,7 @@ def random_box_geometry(
     rng = np.random.default_rng(seed)
     placed = np.empty((0, 3))
     attempts = 0
-    budget = max_attempts_per_spin * n
+    budget = 500 * n
     while placed.shape[0] < n:
         if attempts >= budget:
             raise PackingError(
@@ -191,14 +184,12 @@ def random_box_geometry(
         attempts += 1
         if placed.shape[0] == 0 or np.linalg.norm(placed - candidate, axis=1).min() >= min_separation:
             placed = np.vstack([placed, candidate])
-    label = label or f"random_box_n{n}"
-    return SpinGeometry(placed, np.asarray(field_axis, float), label, seed)
+    return SpinGeometry(placed, np.asarray(field_axis, float), f"random_box_n{n}", seed)
 
 
 def load_geometry_file(
     path,
     field_axis=DEFAULT_FIELD_AXIS,
-    label: str = "",
 ) -> SpinGeometry:
     """Read a plain-text coordinate file: one spin per line, three
     whitespace-separated decimals, ``#`` starts a comment."""
@@ -223,8 +214,8 @@ def load_geometry_file(
         raise CoordinateFileError(path, len(lines), "no coordinates in file")
     if len(rows) > MAX_SPINS:
         raise CoordinateFileError(path, len(lines), f"{len(rows)} spins exceeds the cap of {MAX_SPINS}")
-    label = label or f"file_{len(rows)}spins"
-    return SpinGeometry(np.asarray(rows), np.asarray(field_axis, float), label, 0)
+    return SpinGeometry(np.asarray(rows), np.asarray(field_axis, float),
+                        f"file_{len(rows)}spins", 0)
 
 
 def generate_geometry(kind: str, params: dict, seed: int = 0) -> SpinGeometry:

@@ -12,7 +12,7 @@ from spinquench.evolution import (
     expm_multiply_krylov,
 )
 from spinquench.mqc import mqc_exact
-from spinquench.network import SpinGeometry, dipolar_couplings
+from spinquench.network import CouplingNetwork, SpinGeometry, dipolar_couplings
 from spinquench.operators import dense_hamiltonian, gaussian_state, workspace_for
 
 from oracles import (basis_vector, evolve_rho_dense, evolve_state_dense, floquet_cycle_dense,
@@ -233,11 +233,11 @@ class TestKrylovStep:
                 assert n_terms - 1 <= len(calls) <= n_terms
 
     def test_zero_spectral_width_returns_input_times_phase(self):
-        """Spins beyond the cutoff radius have no couplings, so H(p) = 0:
-        the interval (0, 0) has no width, and the expansion returns its
-        input times the phase exp(-i c dt) = 1 without a single matvec."""
+        """Uncoupled spins have H(p) = 0: the interval (0, 0) has no
+        width, and the expansion returns its input times the phase
+        exp(-i c dt) = 1 without a single matvec."""
         pos = np.arange(3)[:, None] * [5.0, 0.0, 0.0]
-        net = dipolar_couplings(SpinGeometry(pos, Z), cutoff_radius=1.0)
+        net = CouplingNetwork(SpinGeometry(pos, Z), np.zeros((3, 3)))
         v = unit_state(net, 16)
 
         def matvec(x):

@@ -13,6 +13,7 @@ from spinquench.mqc import (
     ClusterTrajectory,
     EstimatorConfig,
     MqcSpectrum,
+    _gaussian_k,
     cluster_size,
     mqc_typicality_grid,
     trajectory,
@@ -66,7 +67,6 @@ class TestClusterSize:
         w[6 + n] = 1.0
         s = spectrum_from_weights(np.arange(-6, 7), w)
         assert cluster_size(s) == 1.0
-        assert cluster_size(s, method="gaussian") == 1.0
 
     def test_gaussian_envelope_sixteen(self):
         """A(n) = c exp(-n^2/16) crosses a(0)/e exactly at n = 4."""
@@ -74,7 +74,8 @@ class TestClusterSize:
         w = np.where(orders % 2 == 0, np.exp(-orders.astype(float) ** 2 / 16.0), 0.0)
         s = spectrum_from_weights(orders, w)
         assert_allclose(cluster_size(s), 16.0, atol=1e-9)
-        assert_allclose(cluster_size(s, method="gaussian"), 16.0, atol=1e-9)
+        ks, a, _ = s.even_envelope()
+        assert_allclose(_gaussian_k(ks, a, s.n_spins), 16.0, atol=1e-9)
 
     def test_rescaling_weights_before_normalization_is_invariant(self):
         orders = np.arange(-4, 5)
@@ -120,12 +121,8 @@ class TestClusterSize:
         s = self.even_spectrum([0.30, 0.35, 0.05, 0.12, 1e-4, 1e-6, 1e-8])
         with pytest.warns(EstimatorWarning, match="no unique 1/e crossing"):
             k = cluster_size(s)
-        assert k == cluster_size(s, method="gaussian") < 12.0
-
-    def test_method_name_checked(self):
-        s = spectrum_from_weights(np.arange(-2, 3), [0, 0, 1.0, 0, 0])
-        with pytest.raises(ValueError, match="method"):
-            cluster_size(s, method="fwhm")
+        ks, a, _ = s.even_envelope()
+        assert k == _gaussian_k(ks, a, s.n_spins) < 12.0
 
 
 class TestTypicality:
@@ -249,8 +246,6 @@ class TestTrajectory:
     def test_estimator_config_validation(self):
         with pytest.raises(ValueError, match="kind"):
             EstimatorConfig(kind="montecarlo")
-        with pytest.raises(ValueError, match="k_method"):
-            EstimatorConfig(k_method="fwhm")
         with pytest.raises(ValueError, match="n_samples"):
             EstimatorConfig(n_samples=0)
 

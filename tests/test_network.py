@@ -101,13 +101,6 @@ class TestCouplingInvariants:
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 
-    def test_cutoff_zeroes_distant_pairs_exactly(self):
-        geo = cubic_lattice_geometry((4, 1, 1))
-        net = dipolar_couplings(geo, cutoff_radius=1.5)
-        r = np.linalg.norm(geo.positions[:, None] - geo.positions[None, :], axis=-1)
-        assert np.all(net.couplings[r > 1.5] == 0.0)
-        assert net.couplings[0, 1] != 0.0
-
 
 class TestGeometryValidation:
     def test_coincident_spins_rejected(self):

@@ -222,10 +222,10 @@ class TestSimulate:
 
     def test_exact_capacity_counts_floquet_unitaries(self, tmp_path, monkeypatch):
         """Floquet mode holds one block's one-cycle unitaries: 10 real d x d
-        arrays for odd n (a cycle step), 12 for even n (the unitaries'
-        set-up).  The 3x1x1 chain has 3 spins, 3 pairs and one block,
-        d = 4; the 5x2x1 lattice has 10 spins and 45 pairs, d = 256."""
-        for shape, n, pairs, d, arrays in (("3, 1, 1", 3, 3, 4, 10), ("5, 2, 1", 10, 45, 256, 12)):
+        arrays for odd n (a cycle step) and for even n (the unitaries'
+        set-up, or a cycle step).  The 3x1x1 chain has 3 spins, 3 pairs and
+        one block, d = 4; the 5x2x1 lattice has 10 spins and 45 pairs, d = 256."""
+        for shape, n, pairs, d, arrays in (("3, 1, 1", 3, 3, 4, 10), ("5, 2, 1", 10, 45, 256, 10)):
             text = SIM_SMALL.replace("2, 2, 1", shape).replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
                 .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
                 .replace("geom:0.4:1.6:3", "1, 2")
@@ -607,15 +607,24 @@ class TestCliExitCodes:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    def test_retired_krylov_dim_key_is_unknown(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SIM_SMALL + "numerics.krylov_dim = 30\n")
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, value, id=key) for key, value in [
+            ("numerics.krylov_dim", "30"), ("numerics.max_dense_spins", "4"),
+            ("numerics.tol", "1e-12"), ("estimator.k_method", "gaussian"),
+            ("geometry.cutoff_radius", "1.5")]])
+    def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, SIM_SMALL + f"{key} = {value}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "unknown key 'numerics.krylov_dim'" in capsys.readouterr().err
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-    def test_retired_max_dense_spins_key_is_unknown(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SIM_SMALL + "numerics.max_dense_spins = 4\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "unknown key 'numerics.max_dense_spins'" in capsys.readouterr().err
+    def test_negative_synth_p_exits_two(self, tmp_path, capsys):
+        # a file named traj_p-0.010000_* would be skipped by scale without notice
+        cfg = write_cfg(tmp_path, SYNTH_FAMILY.replace("synth.p_list = 0.01,",
+                                                       "synth.p_list = -0.01, 0.01,"))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "bad value for synth.p_list: entry -0.01 outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_no_output_directory_anywhere(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SYNTH_FAMILY)
