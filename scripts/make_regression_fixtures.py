@@ -1,10 +1,11 @@
 """Regenerate the stored trajectory fixtures under tests/data/.
 
 The 14-spin typicality run (24 samples of 8 sector streams) takes about
-11 minutes on 2 cores, which is why the test suite reads the stored file
-instead of recomputing it.  Rerun this script whenever the estimator,
-propagator, or geometry code changes in a way that is supposed to alter
-the numbers, and commit the refreshed files.
+17 s on 2 vCPUs (Intel Xeon, OpenBLAS with 2 threads), which is why the
+test suite reads the stored file instead of recomputing it.  Rerun this
+script whenever the estimator, propagator, or geometry code changes in a
+way that is supposed to alter the numbers, and commit the refreshed
+files.
 """
 
 import dataclasses

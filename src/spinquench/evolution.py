@@ -7,10 +7,12 @@ Two modes:
   floquet   explicit alternation [exp(-i H_dd tau_dd) exp(-i H_0 tau_0)]^N,
             with p = tau_dd / (tau_0 + tau_dd) and t = N (tau_0 + tau_dd).
 
-Propagator advances (dim,) or (dim, k) amplitude arrays with a Chebyshev
-expansion of the exponential over a Gershgorin interval of H(p), whose
-matvec reads the per-network sparse H_0 and H_dd.  The expansion
-coefficients come from one FFT of exp(-i x cos theta).
+Propagator advances (dim,) or (dim, k) amplitude arrays, over the whole
+basis or one popcount-parity block of it, with a Chebyshev expansion of
+the exponential whose matvec reads the per-network sparse parity blocks
+of H_0 and H_dd.  The expansion runs over an interval found by a few
+Lanczos steps and padded, and its coefficients come from one FFT of
+exp(-i x cos theta).
 
 The exact path, evolve_density_exact, starts from rho(0) = Iz and yields
 the coherence-order weights of rho(t) at each grid time, never rho(t)
@@ -28,11 +30,10 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .errors import CapacityError
+from .errors import CapacityError, NumericalError
 from .network import CouplingNetwork
-from .operators import SpinBasis, _apply_mixed_array, dense_hamiltonian, workspace_for
+from .operators import SpinBasis, _apply_mixed_array, _mixed_rows, dense_hamiltonian, workspace_for
 
 MAX_DENSE_SPINS = 14
 DEFAULT_TOL = 1e-10
@@ -109,7 +110,7 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[fl
     """exp(-1j dt H) v for Hermitian H given as a matvec, v of shape (dim,) or (dim, k).
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984)
-    on spectrum = (lo, hi), an interval that holds every eigenvalue of H.
+    on spectrum = (lo, hi), an interval that must hold every eigenvalue of H.
     With H = c + r X, c and r the interval's center and half width,
     exp(-i dt H) = exp(-i c dt) sum_k (2 - delta_k0) (-i)^k J_k(r dt) T_k(X),
     and T_k(X) v follows the recurrence T_k+1 = 2 X T_k - T_k-1.  By the
@@ -120,9 +121,12 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[fl
     as ||T_k(X)|| <= 1, each column is then off by less than tol / 100
     times its norm, whatever dt, so a hundred chained calls (grid steps,
     Floquet legs) stay within tol.  A negative dt runs backward, and one
-    expansion covers any span.  The sum is a polynomial in H, so the result lies in
-    the Krylov space of v; the name stays because perfbench/tracing.py
-    wraps this function by name.
+    expansion covers any span.  Outside the interval |T_k| grows
+    exponentially, so an interval that misses an eigenvalue shows as a
+    column whose norm moves by more than tol times its input norm, and
+    raises NumericalError.  The sum is a polynomial in H, so the result
+    lies in the Krylov space of v; the name stays because
+    perfbench/tracing.py wraps this function by name.
     """
     v = np.asarray(v, dtype=np.complex128)
     lo, hi = spectrum
@@ -135,59 +139,91 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[fl
     tail = np.cumsum(np.abs(coef[::-1]))[::-1]
     coef = coef[: max(1, np.count_nonzero(tail >= 0.01 * tol))] * np.exp(-1j * c * dt)
     out = coef[0] * v
-    if coef.size == 1:
-        return out
-    prev = v
-    cur = matvec(v)
-    cur -= c * v
-    cur /= r
-    out += coef[1] * cur
-    for a in coef[2:]:
-        nxt = matvec(cur)
-        nxt -= c * cur
-        nxt *= 2.0 / r
-        nxt -= prev
-        out += a * nxt
-        prev, cur = cur, nxt
+    if coef.size > 1:
+        prev = v
+        cur = matvec(v)
+        cur -= c * v
+        cur /= r
+        out += coef[1] * cur
+        for a in coef[2:]:
+            nxt = matvec(cur)
+            nxt -= c * cur
+            nxt *= 2.0 / r
+            nxt -= prev
+            out += a * nxt
+            prev, cur = cur, nxt
+    moved = np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(v, axis=0))
+    # written so that a NaN norm fails it too
+    if not np.all(moved <= tol * np.linalg.norm(v, axis=0)):
+        raise NumericalError(f"Chebyshev series diverged: a column norm moved by {np.max(moved):.3g}, "
+                             f"more than tol = {tol:g} times its input norm; the interval "
+                             f"{spectrum} misses the spectrum")
     return out
 
 
-def _spectral_interval(ws, p: float) -> tuple[float, float]:
-    """Union of the Gershgorin discs of H(p): (lo, hi) holds its spectrum.
+def _spectral_interval(ws, p: float, parity: int):
+    """(lo, hi) holding the spectrum of H(p) on one parity block.
 
-    H_0 and H_dd share no off-diagonal entry (a pair partner lies either in
-    the same M_z sector or two sectors away), so the radius of row s is
-    (1-p) times its H_0 row sum plus p times its off-diagonal H_dd row sum.
-    The row sums of |H| reuse the stored indices and indptr.
+    k = min(20, d) Lanczos steps from a seeded random start; the extreme
+    Ritz values lie inside the spectrum and converge to its edges first,
+    from a random start with an error that is small with high probability
+    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1094, 1992).
+    Each edge is moved out by 5% of their spread, several times the
+    largest shortfall measured on the test and bench geometries (0.85%
+    of the width).  The start is random, not the all-ones vector, which on a
+    lattice stays in one symmetry sector.  The iteration stops at
+    breakdown: the Krylov space is then invariant, and as the random start
+    has a component in every eigenspace, its Ritz values are all the
+    eigenvalues.
     """
-    def abs_row_sums(h):
-        return sparse.csr_array((np.abs(h.data), h.indices, h.indptr), shape=h.shape).sum(axis=1)
-
-    zz = ws.hdd.diagonal()
-    radius = (1.0 - p) * abs_row_sums(ws.h0) + p * (abs_row_sums(ws.hdd) - np.abs(zz))
-    return float(np.min(p * zz - radius)), float(np.max(p * zz + radius))
+    v = np.random.default_rng(parity).standard_normal(ws.basis.dimension >> 1)
+    v /= np.linalg.norm(v)
+    prev = np.zeros_like(v)
+    alpha, beta = [], [0.0]
+    for _ in range(min(20, v.size)):
+        w = _apply_mixed_array(ws, p, v, parity)
+        scale = np.linalg.norm(w)
+        alpha.append(float(v @ w))
+        w -= alpha[-1] * v + beta[-1] * prev
+        b = float(np.linalg.norm(w))
+        if b <= 1e-10 * scale:
+            break
+        beta.append(b)
+        prev, v = v, w / b
+    off = beta[1:len(alpha)]
+    ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    margin = 0.05 * (ritz[-1] - ritz[0])
+    return float(ritz[0] - margin), float(ritz[-1] + margin)
 
 
 class Propagator:
-    """Binds (network, protocol); advances (dim,) or (dim, k) amplitude
-    arrays across grid intervals.
+    """Binds (network, protocol) and a popcount-parity block; advances
+    amplitude arrays across grid intervals.
 
-    The spectral interval of each H(p) the protocol uses is computed once.
-    Forward and backward steps are exact conjugates, so backward after
-    forward over the same interval restores the input to solver tolerance.
+    With parity q the arrays are (2^(n-1),) or (2^(n-1), k) and hold block
+    q by rank; without, they span the whole basis.  The spectral interval
+    of H(p) on each block the protocol uses is computed once (their hull
+    for the whole basis).  Forward and backward steps are exact
+    conjugates, so backward after forward over the same interval restores
+    the input to solver tolerance.
     """
 
-    def __init__(self, network: CouplingNetwork, protocol: QuenchProtocol):
+    def __init__(self, network: CouplingNetwork, protocol: QuenchProtocol, parity: int | None = None):
         self.network = network
         self.protocol = protocol
+        self.parity = parity
         self._ws = workspace_for(network)
         ps = (protocol.p,) if protocol.mode == "average" else (0.0, 1.0)
-        self._spectrum = {p: _spectral_interval(self._ws, p) for p in ps}
+        blocks = (0, 1) if parity is None else (parity,)
+        self._spectrum = {}
+        for p in ps:
+            lo, hi = zip(*(_spectral_interval(self._ws, p, q) for q in blocks))
+            self._spectrum[p] = (min(lo), max(hi))
 
     def _exp(self, amp: np.ndarray, p: float, duration: float) -> np.ndarray:
         # perfbench/tracing.py wraps this by name and unpacks its arguments
         return expm_multiply_krylov(
-            lambda x: _apply_mixed_array(self._ws, p, x), amp, duration,
+            lambda x: _apply_mixed_array(self._ws, p, x, self.parity), amp, duration,
             spectrum=self._spectrum[p], tol=self.protocol.tol,
         )
 
@@ -250,10 +286,12 @@ class _Block:
         h = dense_hamiltonian(network, p, self.states)
         if not self.flip:
             return [h]
-        # H[R, F R] is added sparse, so the two d x d results are the only dense arrays
+        # H[R, F R] is added sparse, so the two d x d results are the only dense arrays;
+        # F keeps the parity for even n, so both index sets are ranks in one block
         ws = workspace_for(network)
         flipped = self.states ^ ((1 << network.n_spins) - 1)
-        cross = ((1.0 - p) * ws.h0[self.states] + p * ws.hdd[self.states])[:, flipped].tocoo()
+        rows = _mixed_rows(ws, p, int(ws.basis.parity[self.states[0]]), self.states >> 1)
+        cross = rows[:, flipped >> 1].tocoo()
         minus = h.copy()
         h[cross.row, cross.col] += cross.data
         minus[cross.row, cross.col] -= cross.data

@@ -154,17 +154,26 @@ def mqc_exact(weights: np.ndarray) -> MqcSpectrum:
     return MqcSpectrum(orders=np.arange(-n, n + 1), weights=weights / total)
 
 
-def typicality_peak_bytes(n_spins: int) -> int:
-    """Peak bytes mqc_typicality_grid allocates beyond the workspace, in
-    complex (2^n, n//2 + 1) blocks alive at once in span_forward: block 1,
-    mz * block 1, the Chebyshev out, prev, cur, nxt 4 and the two products
-    of a mixed matvec 2 (one temporary at p = 0 or 1); the previous grid
-    time's y and |y|^2 are released before it.  Counting 8.5 covers the
-    Gaussian vector and its sector mask for n >= 4; 1 MiB more covers the
-    Python objects, weight tables and first-call caches (10-35 KiB
-    measured at n = 10-12).  The workspace build and the Gershgorin sums
-    precede the loop and stay below it."""
-    return 136 * (1 << n_spins) * (n_spins // 2 + 1) + 2**20
+def _parity_sectors(n_spins: int) -> list[np.ndarray]:
+    """The propagated sectors m' >= 0, as spins-up counts, of each parity block."""
+    ups = np.arange((n_spins + 1) // 2, n_spins + 1)
+    return [ups[ups % 2 == q] for q in (0, 1)]
+
+
+def typicality_peak_bytes(n_spins: int, n_samples: int) -> int:
+    """Peak bytes mqc_typicality_grid allocates beyond the workspace.  The
+    grid loop peaks in span_forward with 8 complex (2^(n-1), c) blocks
+    alive, c the columns of the wider parity block of a sample pair (of the
+    one sample if n_samples is 1): block 1, mz * block 1, the Chebyshev
+    out, prev, cur, nxt 4 and the two products of a mixed matvec 2 (one
+    temporary at p = 0 or 1); the previous grid time's y and |y|^2 are
+    released before it.  Beside them live the pair's two Gaussian vectors
+    and the block's spins-up counts and M_z values, 73 B per block row.
+    1 MiB more covers the Python objects, weight tables and first-call
+    caches (10-35 KiB measured at n = 10-12).  The workspace build and the
+    Lanczos steps precede the loop and stay below it."""
+    cols = min(2, n_samples) * max(s.size for s in _parity_sectors(n_spins))
+    return (128 * cols + 73) * (1 << (n_spins - 1)) + 2**20
 
 
 def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
@@ -173,46 +182,56 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
 
     A(k) is proportional to the sum over m - m' = k of ||P_m rho(t) P_m'||_F^2.
     Per sample, one Gaussian vector r is cut into its sector slices r_m',
-    the columns of one (dim, n//2 + 1) block, and each slice is carried to
-    y = rho(t) r_m' = U (Iz U' r_m'), with U' the backward propagator
-    advanced incrementally along the grid and U one expansion from 0 to t;
-    |P_m y|^2 estimates the (m, m') term.
+    and each slice is carried to y = rho(t) r_m' = U (Iz U' r_m'), with U'
+    the backward propagator advanced incrementally along the grid and U
+    one expansion from 0 to t; |P_m y|^2 estimates the (m, m') term.
     Global spin flip maps rho to -rho, so ||P_-m rho P_-m'|| = ||P_m rho P_m'||
     and only the sectors m' >= 0 are propagated, each adding its weights
     to order m - m' and, for m' != 0, to the mirrored order m' - m.
+    H(p) keeps the popcount parity, so the slice of sector m' lives in the
+    parity block of its spins-up count, of dimension 2^(n-1): samples go
+    two at a time, and each block carries the slices of both samples that
+    lie in it as the columns of one (2^(n-1), c) array.
     H(p) moves M_z by 0 or +-2, so every weight is non-negative and odd
     orders are exactly zero.  Reads n_samples and base_seed of estimator;
     each sample is normalized on its own.
     """
-    basis = workspace_for(network).basis
+    ws = workspace_for(network)
+    basis = ws.basis
     n = basis.n_spins
-    prop = Propagator(network, protocol)
     n_t = protocol.time_grid.size
-    ups = np.arange((n + 1) // 2, n + 1)
-    # column c of the block keeps the sector with ups[c] spins up
-    in_sector = basis.n_up[:, None] == ups
+    blocks = [(Propagator(network, protocol, q), ws.block_states(q), ups)
+              for q, ups in enumerate(_parity_sectors(n)) if ups.size]
     n_samples = estimator.n_samples
     per_sample = np.zeros((n_samples, n_t, 2 * n + 1))
-    for s_i in range(n_samples):
-        seed = estimator.base_seed + s_i
-        r = gaussian_state(basis, seed)
-        block = np.where(in_sector, r[:, None], 0.0)
-        acc = per_sample[s_i]
-        for j in range(n_t):
-            block = prop.step_backward(block, j)
-            y = prop.span_forward(basis.mz_of[:, None] * block, j)
-            sq = y.real ** 2 + y.imag ** 2
-            for c, up in enumerate(ups):
-                # w[k] = |P_k y|^2, k spins up; order k - up sits at index n + k - up
-                w = np.bincount(basis.n_up, sq[:, c], minlength=n + 1)
-                acc[j, n - up: 2 * n - up + 1] += w
-                if 2 * up != n:
-                    acc[j, up: up + n + 1] += w[::-1]
-            # not alive through the next grid time's propagation
-            del y, sq
+    for first in range(0, n_samples, 2):
+        pair = range(first, min(first + 2, n_samples))
+        rs = [gaussian_state(basis, estimator.base_seed + s) for s in pair]
+        for prop, states, ups in blocks:
+            n_up = basis.n_up[states]
+            mz = basis.mz_of[states]
+            # column i * ups.size + c keeps sample pair[i]'s slice of sector ups[c]
+            block = np.concatenate([np.where(n_up[:, None] == ups, r[states, None], 0.0) for r in rs],
+                                   axis=1)
+            for j in range(n_t):
+                block = prop.step_backward(block, j)
+                y = prop.span_forward(mz[:, None] * block, j)
+                sq = y.real ** 2 + y.imag ** 2
+                for col in range(sq.shape[1]):
+                    acc = per_sample[pair[col // ups.size], j]
+                    up = ups[col % ups.size]
+                    # w[k] = |P_k y|^2, k spins up; order k - up sits at index n + k - up
+                    w = np.bincount(n_up, sq[:, col], minlength=n + 1)
+                    acc[n - up: 2 * n - up + 1] += w
+                    if 2 * up != n:
+                        acc[up: up + n + 1] += w[::-1]
+                # not alive through the next grid time's propagation
+                del y, sq
+    for s_i, acc in enumerate(per_sample):
         totals = acc.sum(axis=1)
         if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
-            raise NumericalError(f"typicality normalization failed for seed {seed}: totals {totals}")
+            raise NumericalError(f"typicality normalization failed for seed {estimator.base_seed + s_i}: "
+                                 f"totals {totals}")
         acc /= totals[:, None]
     mean = per_sample.mean(axis=0)
     if n_samples > 1:

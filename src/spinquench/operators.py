@@ -15,8 +15,10 @@ matrices:
 
 The mixed generator of the quench protocol is H(p) = (1-p) H_0 + p H_dd.
 In this basis every H(p) is real symmetric, and it never mixes the two
-popcount-parity sectors, which the exact evolution path exploits: its
-blocks are row/column slices of the same two matrices.
+popcount-parity sectors, so both matrices are stored only as their two
+parity blocks of dimension 2^(n-1).  The typicality streams propagate on
+one block at a time, and the exact path's flip-symmetric blocks are
+row/column slices of them.
 """
 
 from __future__ import annotations
@@ -109,16 +111,21 @@ class DensityMatrix:
 
 
 class _Workspace:
-    """Per-network operators, built once: H_0 and H_dd as CSR matrices.
+    """Per-network operators, built once: H_0 and H_dd on each popcount-parity block.
 
     Pair k with bits {i, j} links every basis state s to its partner
     s ^ (2^i + 2^j) with amplitude -d_ij/2.  The partner lies in the same
     M_z sector exactly when the two bits are anti-aligned (flip-flop, in
     H_dd); otherwise M_z moves by +-2 (flip-flip, in H_0).  H_dd also holds
-    the zz diagonal.  Both matrices are filled from one (dim, pairs + 1)
-    layout, column 0 the diagonal and column k + 1 the partner of pair k;
-    row-major selection of that layout gives the CSR rows directly, and
-    each row is then sorted by column.
+    the zz diagonal.  A pair flip keeps the popcount parity, so H(p) is the
+    direct sum of its two parity blocks, and only those are stored:
+    h0[q] and hdd[q] act on block q, whose row r is the state of parity q
+    among 2r and 2r + 1 (which always differ in parity), so state s has
+    rank s >> 1.  Each block's pair is filled from its (dim/2, pairs + 1)
+    partner layout, column 0 the diagonal and column k + 1 the partner of
+    pair k; row-major selection of that layout gives the CSR rows
+    directly, and each row is then sorted by column, which orders it as
+    the states themselves.
     """
 
     __slots__ = ("basis", "h0", "hdd")
@@ -126,27 +133,37 @@ class _Workspace:
     def __init__(self, network: CouplingNetwork):
         basis = build_basis(network.n_spins)
         self.basis = basis
-        dim = basis.dimension
         pairs = list(network.pairs())
         masks = np.array([(1 << i) | (1 << j) for i, j, _ in pairs], dtype=np.int32)
         amp = np.array([0.0] + [-0.5 * d for _, _, d in pairs])
-        cols = np.empty((dim, amp.size), dtype=np.int32)
-        cols[:, 0] = basis.states
+        self.h0, self.hdd = zip(*(self._parity_block(self.block_states(q), masks, amp)
+                                  for q in (0, 1)))
+
+    def block_states(self, parity: int) -> np.ndarray:
+        """The states of parity block `parity`, in rank order."""
+        return np.flatnonzero(self.basis.parity == parity)
+
+    def _parity_block(self, states: np.ndarray, masks: np.ndarray, amp: np.ndarray):
+        n_up = self.basis.n_up
+        cols = np.empty((states.size, amp.size), dtype=np.int32)
+        cols[:, 0] = states
         np.bitwise_xor(cols[:, :1], masks, out=cols[:, 1:])
-        same_sector = basis.n_up[cols] == basis.n_up[:, None]
-        self.hdd = self._csr(cols, amp, same_sector)
+        same_sector = n_up[cols] == n_up[states, None]
+        cols >>= 1
+        hdd = self._csr(cols, amp, same_sector)
         # s_i s_j = 1 - 2 [anti-aligned], so the zz diagonal is
         # sum_k d_k / 2 plus twice the flip-flop row sum
-        rows = self.hdd.indptr[:-1]
-        zz = 2.0 * np.add.reduceat(self.hdd.data, rows) - amp.sum()
-        self.hdd.data[rows] = zz
+        rows = hdd.indptr[:-1]
+        zz = 2.0 * np.add.reduceat(hdd.data, rows) - amp.sum()
+        hdd.data[rows] = zz
         # every other partner is two M_z steps away: the flip-flip terms
         np.logical_not(same_sector, out=same_sector)
-        self.h0 = self._csr(cols, amp, same_sector)
-        # in place, once the diagonal is written; the matvec and the
-        # Gershgorin row sums add each row in this order
-        self.hdd.sort_indices()
-        self.h0.sort_indices()
+        h0 = self._csr(cols, amp, same_sector)
+        # in place, once the diagonal is written; the matvec adds each row
+        # in this order
+        hdd.sort_indices()
+        h0.sort_indices()
+        return h0, hdd
 
     @staticmethod
     def _csr(cols: np.ndarray, amp: np.ndarray, keep: np.ndarray):
@@ -160,11 +177,12 @@ class _Workspace:
 
 def workspace_bytes(n_spins: int, n_pairs: int) -> int:
     """Bytes a built _Workspace holds: a float64 value and an index per
-    entry of H_0 and H_dd (2^n (pairs + 1) in all), the basis (18 B per
-    state) and two indptr.  The build's partner layout and mask (5 B per
-    entry) are freed before, and stay below, any estimator's peak."""
+    entry of the parity blocks of H_0 and H_dd (2^n (pairs + 1) in all),
+    the basis (18 B per state) and four indptr of 2^(n-1) + 1.  A block's
+    partner layout and mask (5 B per entry of that block) are freed before,
+    and stay below, any estimator's peak."""
     dim = 1 << n_spins
-    index = 4 if dim * (n_pairs + 1) < 2**31 else 8  # as _Workspace._csr
+    index = 4 if (dim >> 1) * (n_pairs + 1) < 2**31 else 8  # as _Workspace._csr
     return (8 + index) * dim * (n_pairs + 1) + (18 + 2 * index) * dim
 
 
@@ -186,30 +204,50 @@ def _product(h, v: np.ndarray) -> np.ndarray:
     return out.view(np.complex128).reshape(v.shape)
 
 
-def _apply_mixed_array(ws: _Workspace, p: float, v: np.ndarray) -> np.ndarray:
-    """out = [(1-p) H_0 + p H_dd] v for v of shape (dim,) or (dim, k)."""
+def _apply_mixed_array(ws: _Workspace, p: float, v: np.ndarray, parity: int | None = None) -> np.ndarray:
+    """out = [(1-p) H_0 + p H_dd] v for v of shape (d,) or (d, k).  With
+    parity q, v holds block q by rank (d = 2^(n-1)); without, v spans the
+    whole basis (d = 2^n) and each block is gathered and scattered."""
+    if parity is None:
+        out = np.empty(v.shape, np.result_type(v.dtype, np.float64))
+        for q in (0, 1):
+            states = ws.block_states(q)
+            out[states] = _apply_mixed_array(ws, p, v[states], q)
+        return out
+    h0, hdd = ws.h0[parity], ws.hdd[parity]
     if p == 0.0:
-        return _product(ws.h0, v)
+        return _product(h0, v)
     if p == 1.0:
-        return _product(ws.hdd, v)
-    out = _product(ws.h0, v)
+        return _product(hdd, v)
+    out = _product(h0, v)
     out *= 1.0 - p
-    out += p * _product(ws.hdd, v)
+    out += p * _product(hdd, v)
     return out
 
 
+def _mixed_rows(ws: _Workspace, p: float, parity: int, ranks: np.ndarray):
+    """Rows `ranks` of H(p) on one parity block, sparse.  H_0 and H_dd
+    share no entry, so each entry is a single product; the rows are taken
+    before they are mixed, so no temporary spans the whole block."""
+    return (1.0 - p) * ws.h0[parity][ranks] + p * ws.hdd[parity][ranks]
+
+
 def dense_hamiltonian(network: CouplingNetwork, p: float, indices: np.ndarray | None = None) -> np.ndarray:
-    """Dense real-symmetric H(p), or its block H[indices, indices].
+    """Dense real-symmetric H(p), or its block H[indices, indices] for
+    indices inside one popcount-parity block.
 
     The block is the Hamiltonian of a subspace only for subsets closed
     under all pair flips present in the coupling network (the
-    popcount-parity sectors are).
+    popcount-parity blocks are).
     """
     ws = workspace_for(network)
-    h = (1.0 - p) * ws.h0 + p * ws.hdd
-    if indices is not None:
-        h = h[indices][:, indices]
-    return h.toarray()
+    if indices is None:
+        return _apply_mixed_array(ws, p, np.eye(ws.basis.dimension))
+    parity = ws.basis.parity[indices]
+    if np.any(parity != parity[0]):
+        raise ValueError("indices must lie in one popcount-parity block")
+    ranks = np.asarray(indices) >> 1
+    return _mixed_rows(ws, p, int(parity[0]), ranks)[:, ranks].toarray()
 
 
 def coherence_order_weights(rho: np.ndarray, basis: SpinBasis) -> np.ndarray:

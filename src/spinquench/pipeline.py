@@ -57,11 +57,13 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _capacity_check(network, mode: str, kind: str, n_parallel: int):
+def _capacity_check(network, mode: str, estimator, n_parallel: int):
     """Reject oversized requests before any evolution starts: each of the
     n_parallel tasks run at once holds its own workspace and estimator."""
     n_spins, n_pairs = network.n_spins, sum(1 for _ in network.pairs())
-    peak = exact_peak_bytes(n_spins, mode) if kind == "exact" else typicality_peak_bytes(n_spins)
+    kind = estimator.kind
+    peak = (exact_peak_bytes(n_spins, mode) if kind == "exact"
+            else typicality_peak_bytes(n_spins, estimator.n_samples))
     need = n_parallel * (workspace_bytes(n_spins, n_pairs) + peak)
     have = _physical_memory()
     if need > have:
@@ -117,7 +119,7 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     if not tasks:
         return {"written": [], "skipped": skipped, "config_digest": digest}
     paths, protocols, estimators, seeds = zip(*tasks)
-    _capacity_check(network, protocols[0].mode, estimators[0].kind, n_workers)
+    _capacity_check(network, protocols[0].mode, estimators[0], n_workers)
     run = partial(_simulate_task, network, config.label, digest)
     with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
         bodies = (pool.map if pool else map)(run, protocols, estimators, seeds)

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from spinquench.errors import CapacityError
+from spinquench.errors import CapacityError, NumericalError
 from spinquench.evolution import (
     Propagator,
     QuenchProtocol,
@@ -12,13 +16,22 @@ from spinquench.evolution import (
     expm_multiply_krylov,
 )
 from spinquench.mqc import mqc_exact
-from spinquench.network import CouplingNetwork, SpinGeometry, dipolar_couplings
-from spinquench.operators import dense_hamiltonian, gaussian_state, workspace_for
+from spinquench.network import CouplingNetwork, SpinGeometry, cubic_lattice_geometry, dipolar_couplings
+from spinquench.operators import _apply_mixed_array, dense_hamiltonian, gaussian_state, workspace_for
 
 from oracles import (basis_vector, evolve_rho_dense, evolve_state_dense, floquet_cycle_dense,
                      h_mixed_dense, iz_total_dense, mqc_weights_dense)
 
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def blob14_network():
+    """The 14-spin geometry of the stored regression fixture."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_regression_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_regression_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.blob14_network()
 
 
 def chain_network(n):
@@ -180,18 +193,52 @@ class TestKrylovStep:
                 alone = prop.step_backward(prop.span_forward(block[:, c], 1), 0)
                 assert np.max(np.abs(got[:, c] - alone)) < 1e-13
 
-    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-    def test_spectral_interval_holds_the_spectrum(self, chain6, lattice8, p):
-        """The Gershgorin interval that sets the expansion length contains
-        every eigenvalue of H(p): a Chebyshev series over an interval that
-        misses one diverges.  The 2-spin H_0 has empty rows (|01>, |10>),
-        and its discs are tight, hence the rounding allowance."""
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.3, 0.5, 1.0])
+    def test_spectral_interval_holds_the_spectrum(self, chain6, lattice8, lattice12, p):
+        """The Lanczos interval of each parity block holds every eigenvalue
+        of H(p) on it, as a Chebyshev series over an interval that misses
+        one diverges, and is at most its 10% of padding wider than the
+        spectrum.  The 2-spin H_0 is zero on the parity-1 block (|01>,
+        |10>), where Lanczos breaks down at its first step.  Dense
+        eigenvalues up to 12 spins (the 3x2x2 and 5x2x1 bench lattices
+        among them), eigsh for the 14-spin regression fixture geometry."""
         two = dipolar_couplings(SpinGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), Z))
-        for net in (two, chain6, lattice8):
-            lo, hi = _spectral_interval(workspace_for(net), p)
-            eig = np.linalg.eigvalsh(dense_hamiltonian(net, p))
-            slack = 1e-12 * max(abs(lo), abs(hi))
-            assert lo - slack <= eig[0] and eig[-1] <= hi + slack
+        lattice10 = dipolar_couplings(cubic_lattice_geometry((5, 2, 1)))
+        for net in (two, chain6, lattice8, lattice10, lattice12, blob14_network()):
+            ws = workspace_for(net)
+            for q in (0, 1):
+                lo, hi = _spectral_interval(ws, p, q)
+                if net.n_spins <= 12:
+                    eig = np.linalg.eigvalsh(dense_hamiltonian(net, p, ws.block_states(q)))
+                else:
+                    d = ws.basis.dimension >> 1
+                    op = LinearOperator((d, d), dtype=float,
+                                        matvec=lambda x: _apply_mixed_array(ws, p, np.ravel(x), q))
+                    eig = np.sort(eigsh(op, k=2, which="BE", tol=1e-12, return_eigenvectors=False))
+                slack = 1e-10 * max(1.0, abs(lo), abs(hi))
+                assert lo - slack <= eig[0] and eig[-1] <= hi + slack, (net.n_spins, q)
+                assert hi - lo <= 1.1 * (eig[-1] - eig[0]) + slack, (net.n_spins, q)
+
+    def test_interval_missing_the_spectrum_raises(self):
+        """A series over an interval that misses an eigenvalue grows
+        exponentially in the number of terms there; the norm check turns
+        that into a NumericalError instead of a wrong result.  Missing the
+        top 5% of the spectrum over r dt = 40, or half of it over r dt = 8,
+        moves the norms by far more than tol.  (A small miss over a short
+        span errs by less than the norm check resolves: the 5% miss over
+        r dt = 8 is off by 1e-9 with the norms moved by 1e-11.)"""
+        c, r, dim = 0.5, 4.0, 40
+        lam = c + r * np.cos(np.pi * (np.arange(dim) + 0.5) / dim)
+        v = np.random.default_rng(3).normal(size=(dim, 2)) + 0j
+
+        def matvec(u):
+            return lam[:, None] * u
+
+        assert_allclose(np.linalg.norm(expm_multiply_krylov(matvec, v, 2.0, spectrum=(c - r, c + r)),
+                                       axis=0), np.linalg.norm(v, axis=0), rtol=1e-12)
+        for spectrum, dt in (((c - r, c + 0.95 * r), 10.0), ((c - 0.5 * r, c + 0.5 * r), 2.0)):
+            with pytest.raises(NumericalError, match="misses the spectrum"):
+                expm_multiply_krylov(matvec, v, dt, spectrum=spectrum)
 
     def test_long_span_matches_dense_oracle(self):
         """One expansion over a long span, ||H|| t = 250."""

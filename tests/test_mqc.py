@@ -181,6 +181,25 @@ class TestTypicality:
             total += dev.size
         assert agree / total >= 0.95
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_paired_samples_match_single_samples(self, n):
+        """Samples are propagated two at a time, each sector slice in its
+        parity block: three samples (one pair, then one alone) must give
+        the mean and standard error of three one-sample runs at base seeds
+        b, b + 1 and b + 2.  At n = 8 the blocks carry 3 and 2 sectors."""
+        net = jittered_network(n, 23)
+        prot = QuenchProtocol.average(0.4, [0.3, 1.2, 2.5])
+        b = 11
+        three = mqc_typicality_grid(net, prot, EstimatorConfig(kind="typicality", n_samples=3,
+                                                               base_seed=b))
+        singles = np.array([[s.weights for s in mqc_typicality_grid(
+            net, prot, EstimatorConfig(kind="typicality", n_samples=1, base_seed=b + i))]
+            for i in range(3)])
+        for j, spec in enumerate(three):
+            assert np.max(np.abs(spec.weights - singles[:, j].mean(axis=0))) <= 1e-13
+            se = singles[:, j].std(axis=0, ddof=1) / math.sqrt(3)
+            assert np.max(np.abs(spec.std_err - se)) <= 1e-13
+
 
 class TestTrajectory:
     def test_no_quench_identity(self):
@@ -282,4 +301,14 @@ class TestStatedPeakBytes:
     def test_typicality(self, n, p):
         self.assert_stated(jittered_network(n, 5), QuenchProtocol.average(p, [0.5, 1.0]),
                            EstimatorConfig(kind="typicality", n_samples=2),
-                           typicality_peak_bytes(n), 2**20)
+                           typicality_peak_bytes(n, 2), 2**20)
+
+    @pytest.mark.parametrize("n, n_samples", [(12, 3), (11, 2), (9, 2)])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_typicality_unpaired_sample_and_odd_n(self, n, n_samples, p):
+        """Samples go in pairs, so n_samples = 3 ends on one unpaired sample;
+        the two parity blocks carry 4 and 3 sectors at n = 12, 3 and 3 at
+        n = 11, and 2 and 3 at n = 9."""
+        self.assert_stated(jittered_network(n, 5), QuenchProtocol.average(p, [0.5, 1.0]),
+                           EstimatorConfig(kind="typicality", n_samples=n_samples),
+                           typicality_peak_bytes(n, n_samples), 2**20)

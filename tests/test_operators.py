@@ -156,8 +156,12 @@ class TestPairActions:
         net = random_network(5, 4)
         ws = workspace_for(net)
         v = random_state(ws.basis, 0)
-        assert np.array_equal(_apply_mixed_array(ws, 1.0, v), ws.hdd @ v)
-        assert np.array_equal(_apply_mixed_array(ws, 0.0, v), ws.h0 @ v)
+        for q in (0, 1):
+            states = ws.block_states(q)
+            assert np.array_equal(_apply_mixed_array(ws, 1.0, v)[states], ws.hdd[q] @ v[states])
+            assert np.array_equal(_apply_mixed_array(ws, 0.0, v)[states], ws.h0[q] @ v[states])
+            assert np.array_equal(_apply_mixed_array(ws, 0.3, v[states], q),
+                                  _apply_mixed_array(ws, 0.3, v)[states])
 
     @given(st.integers(0, 30), st.floats(0.0, 1.0))
     def test_hermiticity_of_mixed_action(self, seed, p):

@@ -241,12 +241,13 @@ class TestSimulate:
         """The typicality check compares a byte estimate with physical
         memory: the workspace (12 B per state for the diagonal and each
         coupled pair of the sparse H_0 + H_dd, 26 B per state for the basis
-        and indptr) plus 8.5 complex (dim, n//2 + 1) blocks (136 B per state
-        and column), the grid loop's peak, plus 1 MiB.  The 2x2x1 lattice
-        has 4 spins and 6 pairs."""
+        and indptr) plus the grid loop's peak, 8 complex (2^(n-1), c) blocks
+        (128 B per row and column) and 73 B per row, plus 1 MiB.  The 2x2x1
+        lattice has 4 spins and 6 pairs; a parity block holds at most 2 of
+        the sectors with 2, 3 and 4 spins up, so a sample pair gives c = 4."""
         text = SIM_SMALL.replace("estimator.kind = exact", "estimator.kind = typicality\n"
                                  "estimator.n_samples = 2")
-        need = 12 * 16 * (6 + 1) + 26 * 16 + 136 * 16 * (4 // 2 + 1) + 2**20
+        need = 12 * 16 * (6 + 1) + 26 * 16 + (128 * 4 + 73) * 8 + 2**20
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
