@@ -239,15 +239,13 @@ class RunConfig:
     def build_protocol(self, p: float) -> QuenchProtocol:
         mode = self.get("protocol.mode", "average")
         (grid,) = self.require("protocol.time_grid")
+        if mode not in ("average", "floquet"):
+            raise ConfigError(f"protocol.mode must be average or floquet, got {mode!r}")
+        tau_c = self.require("protocol.tau_c")[0] if mode == "floquet" else 0.0
         try:
-            if mode == "average":
-                return QuenchProtocol.average(p, grid)
-            if mode == "floquet":
-                (tau_c,) = self.require("protocol.tau_c")
-                return QuenchProtocol.floquet(p, tau_c, grid)
+            return QuenchProtocol(mode, p, grid, tau_c)
         except ValueError as exc:
             raise ConfigError(f"invalid protocol: {exc}") from None
-        raise ConfigError(f"protocol.mode must be average or floquet, got {mode!r}")
 
     def estimator_config(self, seed: int = 0) -> EstimatorConfig:
         kind = self.get("estimator.kind", "exact")

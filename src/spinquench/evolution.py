@@ -27,6 +27,7 @@ densely, which caps the path at 14 spins (four blocks of 4096).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,23 +37,26 @@ from .network import CouplingNetwork
 from .operators import SpinBasis, _apply_mixed_array, _mixed_rows, dense_hamiltonian, workspace_for
 
 MAX_DENSE_SPINS = 14
-DEFAULT_TOL = 1e-10
+#: relative accuracy of every exponential: the Chebyshev sum is cut where
+#: its dropped coefficients add up to TOL / 100, and a column norm that
+#: moves by more than TOL raises NumericalError
+TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class QuenchProtocol:
-    """Evolution recipe: mode, perturbation strength, grid, solver tolerance.
+    """Evolution recipe: mode, perturbation strength, grid, cycle time.
 
-    In average mode time_grid holds sample times; in floquet mode it holds
-    integer cycle counts and the physical time is count * (tau_0 + tau_dd).
+    In average mode time_grid holds sample times and tau_c is unused; in
+    floquet mode it holds integer cycle counts, a cycle of length tau_c is
+    a leg of H_0 for tau_0 = tau_c - tau_dd and one of H_dd for
+    tau_dd = p tau_c, and the physical time is count * (tau_0 + tau_dd).
     """
 
     mode: str
     p: float
     time_grid: np.ndarray
-    tau_0: float = 0.0
-    tau_dd: float = 0.0
-    tol: float = DEFAULT_TOL
+    tau_c: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("average", "floquet"):
@@ -67,28 +71,32 @@ class QuenchProtocol:
         if grid[0] < 0 or (grid.size > 1 and np.any(np.diff(grid) <= 0)):
             raise ValueError("time_grid must be strictly increasing and non-negative")
         if self.mode == "floquet":
-            if self.tau_0 < 0 or self.tau_dd < 0 or self.tau_0 + self.tau_dd <= 0:
-                raise ValueError("floquet mode needs tau_0, tau_dd >= 0 with tau_0 + tau_dd > 0")
-            if abs(self.p - self.tau_dd / (self.tau_0 + self.tau_dd)) >= 1e-12:
-                raise ValueError("p must equal tau_dd / (tau_0 + tau_dd) to 1e-12")
+            if not 0.0 < self.tau_c < math.inf:
+                raise ValueError(f"floquet mode needs a finite tau_c = tau_0 + tau_dd > 0, "
+                                 f"got {self.tau_c}")
             if np.any(grid != np.round(grid)):
                 raise ValueError("floquet time_grid holds integer cycle counts")
-        if not 0 < self.tol < 1e-2:
-            raise ValueError("tol must be in (0, 1e-2)")
         grid.flags.writeable = False
         object.__setattr__(self, "time_grid", grid)
 
     @classmethod
-    def average(cls, p: float, time_grid, tol: float = DEFAULT_TOL):
-        return cls("average", p, np.asarray(time_grid, dtype=float), tol=tol)
+    def average(cls, p: float, time_grid):
+        return cls("average", p, np.asarray(time_grid, dtype=float))
 
     @classmethod
-    def floquet(cls, p: float, tau_c: float, cycle_grid, tol: float = DEFAULT_TOL):
+    def floquet(cls, p: float, tau_c: float, cycle_grid):
         """Cycle built from p and the total cycle time tau_c = tau_0 + tau_dd."""
-        tau_dd = p * tau_c
-        tau_0 = tau_c - tau_dd
-        return cls("floquet", p, np.asarray(cycle_grid, dtype=float), tau_0=tau_0, tau_dd=tau_dd,
-                   tol=tol)
+        return cls("floquet", p, np.asarray(cycle_grid, dtype=float), tau_c)
+
+    @property
+    def tau_dd(self) -> float:
+        """Length of the H_dd leg of a cycle; no legs, 0, in average mode."""
+        return self.p * self.tau_c if self.mode == "floquet" else 0.0
+
+    @property
+    def tau_0(self) -> float:
+        """Length of the H_0 leg of a cycle; 0 in average mode."""
+        return self.tau_c - self.tau_dd if self.mode == "floquet" else 0.0
 
     @property
     def times(self) -> np.ndarray:
@@ -99,14 +107,14 @@ class QuenchProtocol:
 
     def digest(self) -> str:
         payload = "|".join([
-            self.mode, repr(self.p), repr(self.tau_0), repr(self.tau_dd), repr(self.tol),
+            self.mode, repr(self.p), repr(self.tau_0), repr(self.tau_dd), repr(TOL),
             ",".join(repr(t) for t in self.time_grid),
         ])
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[float, float],
-                         tol: float = DEFAULT_TOL) -> np.ndarray:
+def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *,
+                         spectrum: tuple[float, float]) -> np.ndarray:
     """exp(-1j dt H) v for Hermitian H given as a matvec, v of shape (dim,) or (dim, k).
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984)
@@ -117,13 +125,13 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[fl
     Jacobi-Anger expansion (-i)^k J_k(x) is the k-th Fourier coefficient of
     exp(-i x cos theta), so an FFT of 2 n samples gives the first n of them,
     aliased only by orders >= n, where J_k(x) < 1e-16.  The sum
-    is cut where the dropped |coefficients| add up to less than tol / 100;
-    as ||T_k(X)|| <= 1, each column is then off by less than tol / 100
+    is cut where the dropped |coefficients| add up to less than TOL / 100;
+    as ||T_k(X)|| <= 1, each column is then off by less than TOL / 100
     times its norm, whatever dt, so a hundred chained calls (grid steps,
-    Floquet legs) stay within tol.  A negative dt runs backward, and one
+    Floquet legs) stay within TOL.  A negative dt runs backward, and one
     expansion covers any span.  Outside the interval |T_k| grows
     exponentially, so an interval that misses an eigenvalue shows as a
-    column whose norm moves by more than tol times its input norm, and
+    column whose norm moves by more than TOL times its input norm, and
     raises NumericalError.  The sum is a polynomial in H, so the result
     lies in the Krylov space of v; the name stays because
     perfbench/tracing.py wraps this function by name.
@@ -137,7 +145,7 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[fl
     coef = np.fft.fft(np.exp(-1j * x * np.cos(np.pi * np.arange(2 * n) / n)))[:n] / (2 * n)
     coef[1:] *= 2.0
     tail = np.cumsum(np.abs(coef[::-1]))[::-1]
-    coef = coef[: max(1, np.count_nonzero(tail >= 0.01 * tol))] * np.exp(-1j * c * dt)
+    coef = coef[: max(1, np.count_nonzero(tail >= 0.01 * TOL))] * np.exp(-1j * c * dt)
     out = coef[0] * v
     if coef.size > 1:
         prev = v
@@ -154,9 +162,9 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[fl
             prev, cur = cur, nxt
     moved = np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(v, axis=0))
     # written so that a NaN norm fails it too
-    if not np.all(moved <= tol * np.linalg.norm(v, axis=0)):
+    if not np.all(moved <= TOL * np.linalg.norm(v, axis=0)):
         raise NumericalError(f"Chebyshev series diverged: a column norm moved by {np.max(moved):.3g}, "
-                             f"more than tol = {tol:g} times its input norm; the interval "
+                             f"more than TOL = {TOL:g} times its input norm; the interval "
                              f"{spectrum} misses the spectrum")
     return out
 
@@ -164,23 +172,32 @@ def expm_multiply_krylov(matvec, v: np.ndarray, dt: float, *, spectrum: tuple[fl
 def _spectral_interval(ws, p: float, parity: int):
     """(lo, hi) holding the spectrum of H(p) on one parity block.
 
-    k = min(20, d) Lanczos steps from a seeded random start; the extreme
-    Ritz values lie inside the spectrum and converge to its edges first,
-    from a random start with an error that is small with high probability
-    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1094, 1992).
-    Each edge is moved out by 5% of their spread, several times the
-    largest shortfall measured on the test and bench geometries (0.85%
-    of the width).  The start is random, not the all-ones vector, which on a
-    lattice stays in one symmetry sector.  The iteration stops at
-    breakdown: the Krylov space is then invariant, and as the random start
-    has a component in every eigenspace, its Ritz values are all the
+    k Lanczos steps from a seeded random start; the extreme Ritz values
+    lie inside the spectrum and converge to its edges first.  Each edge is
+    then moved out by pad = 5% of their spread.  From a random start, an
+    edge is short by a fraction eps of the spectrum's width W or more with
+    probability at most 1.648 sqrt(d) exp(-sqrt(eps) (2k - 1)) on a block
+    of dimension d (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl.
+    13, 1094, 1992).  With both edges short by less than eps W the Ritz
+    spread exceeds (1 - 2 eps) W, so the pad covers both for
+    eps = pad / (1 + 2 pad) = 1/22.  k is the least step count that holds
+    the bound at that eps to delta = 1e-6 per edge: 42 at n = 10, 44 at
+    n = 12 and 47 at n = 16.  The largest shortfall measured on the test
+    and bench geometries is 0.85% of the width.  The start is random, not
+    the all-ones vector, which on a lattice stays in one symmetry sector.
+    The iteration stops at breakdown, and at the latest after d steps: the
+    Krylov space is then invariant, and as the random start has a
+    component in every eigenspace, its Ritz values are all the
     eigenvalues.
     """
+    pad, delta = 0.05, 1e-6
     v = np.random.default_rng(parity).standard_normal(ws.basis.dimension >> 1)
     v /= np.linalg.norm(v)
+    eps = pad / (1.0 + 2.0 * pad)
+    steps = math.ceil((math.log(1.648 * math.sqrt(v.size) / delta) / math.sqrt(eps) + 1.0) / 2.0)
     prev = np.zeros_like(v)
     alpha, beta = [], [0.0]
-    for _ in range(min(20, v.size)):
+    for _ in range(min(steps, v.size)):
         w = _apply_mixed_array(ws, p, v, parity)
         scale = np.linalg.norm(w)
         alpha.append(float(v @ w))
@@ -192,7 +209,7 @@ def _spectral_interval(ws, p: float, parity: int):
         prev, v = v, w / b
     off = beta[1:len(alpha)]
     ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
-    margin = 0.05 * (ritz[-1] - ritz[0])
+    margin = pad * (ritz[-1] - ritz[0])
     return float(ritz[0] - margin), float(ritz[-1] + margin)
 
 
@@ -205,7 +222,7 @@ class Propagator:
     of H(p) on each block the protocol uses is computed once (their hull
     for the whole basis).  Forward and backward steps are exact
     conjugates, so backward after forward over the same interval restores
-    the input to solver tolerance.
+    the input to TOL.
     """
 
     def __init__(self, network: CouplingNetwork, protocol: QuenchProtocol, parity: int | None = None):
@@ -224,7 +241,7 @@ class Propagator:
         # perfbench/tracing.py wraps this by name and unpacks its arguments
         return expm_multiply_krylov(
             lambda x: _apply_mixed_array(self._ws, p, x, self.parity), amp, duration,
-            spectrum=self._spectrum[p], tol=self.protocol.tol,
+            spectrum=self._spectrum[p],
         )
 
     def _interval(self, i: int) -> float:
@@ -290,7 +307,7 @@ class _Block:
         # F keeps the parity for even n, so both index sets are ranks in one block
         ws = workspace_for(network)
         flipped = self.states ^ ((1 << network.n_spins) - 1)
-        rows = _mixed_rows(ws, p, int(ws.basis.parity[self.states[0]]), self.states >> 1)
+        rows = _mixed_rows(ws, p, int(ws.basis.n_up[self.states[0]] & 1), self.states >> 1)
         cross = rows[:, flipped >> 1].tocoo()
         minus = h.copy()
         h[cross.row, cross.col] += cross.data
@@ -320,11 +337,12 @@ class _Block:
 
 
 def _exact_blocks(basis: SpinBasis) -> list[_Block]:
-    n = basis.n_spins
-    if n % 2:
-        return [_Block(basis, basis.states[basis.parity == 0], False)]
-    low = basis.states < (1 << (n - 1))
-    return [_Block(basis, basis.states[(basis.parity == par) & low], True) for par in (0, 1)]
+    parity = basis.parity
+    if basis.n_spins % 2:
+        return [_Block(basis, np.flatnonzero(parity == 0), False)]
+    # the representatives with the top spin down are the lower half of the states
+    low = parity[: basis.dimension >> 1]
+    return [_Block(basis, np.flatnonzero(low == par), True) for par in (0, 1)]
 
 
 def exact_peak_bytes(n_spins: int, mode: str) -> int:

@@ -44,17 +44,13 @@ def format_trajectory(traj: ClusterTrajectory, config_digest: str) -> str:
     lines = [FORMAT_LINE]
     for key in sorted(meta):
         lines.append(f"# {key}={json.dumps(meta[key], sort_keys=True)}")
-    orders = None
+    header = "time,K"
     if traj.spectra:
-        n = traj.spectra[0].n_spins
-        orders = np.arange(-n, n + 1)
-        header = "time,K," + ",".join(f"a{int(o)}" for o in orders)
-    else:
-        header = "time,K"
+        header += "," + ",".join(f"a{int(o)}" for o in traj.spectra[0].orders)
     lines.append(header)
     for i, (t, k) in enumerate(zip(traj.times, traj.K)):
         row = f"{float(t)!r},{float(k)!r}"
-        if orders is not None:
+        if traj.spectra:
             row += "," + ",".join(f"{float(w)!r}" for w in traj.spectra[i].weights)
         lines.append(row)
     return "\n".join(lines) + "\n"
@@ -91,19 +87,22 @@ def read_trajectory_file(path) -> ClusterTrajectory:
     rows = [line.split(",") for line in lines[body_start + 1:] if line.strip()]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
+    orders = columns[2:]
+    n = len(orders) // 2
+    if orders and orders != [f"a{k}" for k in range(-n, n + 1)]:
+        raise ConfigError(f"{path}: order columns must run a-n..an contiguously, got "
+                          f"{','.join(orders)}")
     try:
-        orders = [int(c[1:]) for c in columns[2:]]
         data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad data row or order column: {exc}") from None
+        raise ConfigError(f"{path}: bad data row: {exc}") from None
     if data.shape[1] != len(columns):
         raise ConfigError(f"{path}: ragged rows, expected {len(columns)} columns")
     p = meta.get("p")
     if p is None:
         raise ConfigError(f"{path}: metadata lacks p")
     try:
-        spectra = [MqcSpectrum(np.array(orders), data[i, 2:])
-                   for i in range(data.shape[0])] if orders else None
+        spectra = [MqcSpectrum(w) for w in data[:, 2:]] if orders else None
         return ClusterTrajectory(p=p, times=data[:, 0], K=data[:, 1],
                                  spectra=spectra, metadata=meta)
     except ValueError as exc:

@@ -42,35 +42,38 @@ EXACT_NOISE_FLOOR = 1e-12
 
 @dataclass(eq=False)
 class MqcSpectrum:
-    """Normalized coherence-order distribution at one time point."""
+    """Normalized coherence-order distribution at one time point.
 
-    orders: np.ndarray
+    weights[n + k] is the weight of order k, for the orders -n..n of n
+    spins, so n and the orders follow from the number of weights.
+    """
+
     weights: np.ndarray
     std_err: np.ndarray | None = None
 
     def __post_init__(self):
-        orders = np.asarray(self.orders, dtype=int)
         weights = np.asarray(self.weights, dtype=float)
-        n = orders.max() if orders.size else 0
-        if not np.array_equal(orders, np.arange(-n, n + 1)):
-            raise ValueError("orders must run contiguously from -n to n")
-        if weights.shape != orders.shape:
-            raise ValueError("weights and orders must have matching shapes")
+        if weights.ndim != 1 or weights.size % 2 == 0:
+            raise ValueError(f"weights must hold the 2n + 1 orders -n..n, got shape {weights.shape}")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and non-negative")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         if self.std_err is not None:
             se = np.asarray(self.std_err, dtype=float)
-            if se.shape != orders.shape or np.any(se < 0):
-                raise ValueError("std_err must be non-negative and match orders")
+            if se.shape != weights.shape or np.any(se < 0):
+                raise ValueError("std_err must be non-negative and match weights")
             self.std_err = se
-        self.orders = orders
         self.weights = weights
 
     @property
     def n_spins(self) -> int:
-        return int(self.orders.max())
+        return self.weights.size // 2
+
+    @property
+    def orders(self) -> np.ndarray:
+        n = self.n_spins
+        return np.arange(-n, n + 1)
 
     def weight(self, order: int) -> float:
         return float(self.weights[self.n_spins + order])
@@ -150,8 +153,7 @@ def mqc_exact(weights: np.ndarray) -> MqcSpectrum:
     total = weights.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise UndefinedSpectrumError("zero (or non-finite) density matrix has no coherence distribution")
-    n = (weights.size - 1) // 2
-    return MqcSpectrum(orders=np.arange(-n, n + 1), weights=weights / total)
+    return MqcSpectrum(weights / total)
 
 
 def _parity_sectors(n_spins: int) -> list[np.ndarray]:
@@ -238,7 +240,7 @@ def mqc_typicality_grid(network: CouplingNetwork, protocol: QuenchProtocol,
         std_err = per_sample.std(axis=0, ddof=1) / math.sqrt(n_samples)
     else:
         std_err = np.zeros_like(mean)
-    return [MqcSpectrum(np.arange(-n, n + 1), m, se) for m, se in zip(mean, std_err)]
+    return [MqcSpectrum(m, se) for m, se in zip(mean, std_err)]
 
 
 def _gaussian_k(ks: np.ndarray, a: np.ndarray, n_spins: int) -> float:
@@ -306,7 +308,7 @@ def trajectory(network: CouplingNetwork, protocol: QuenchProtocol,
     """K(t) over the protocol grid with the chosen estimator."""
     meta = {
         "geometry": network.geometry.label,
-        "seed": estimator.base_seed,
+        "base_seed": estimator.base_seed,
         "protocol_digest": protocol.digest(),
         "estimator": estimator.kind,
         "n_spins": network.n_spins,

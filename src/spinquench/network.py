@@ -75,15 +75,10 @@ class SpinGeometry:
 
 @dataclass(frozen=True, eq=False)
 class CouplingNetwork:
-    """Symmetric dipolar coupling matrix d_ij over a spin geometry.
-
-    ``d_max`` caches the largest |d_ij| so that callers can express times
-    in units of 1/d_max without rescanning the matrix.
-    """
+    """Symmetric dipolar coupling matrix d_ij over a spin geometry."""
 
     geometry: SpinGeometry
     couplings: np.ndarray
-    d_max: float = 0.0
 
     def __post_init__(self):
         d = np.asarray(self.couplings, dtype=float)
@@ -95,11 +90,15 @@ class CouplingNetwork:
         if np.any(np.diag(d) != 0.0):
             raise GeometryError("coupling matrix must have zero diagonal")
         object.__setattr__(self, "couplings", _as_readonly(d))
-        object.__setattr__(self, "d_max", float(np.abs(d).max()) if n > 1 else 0.0)
 
     @property
     def n_spins(self) -> int:
         return self.geometry.n_spins
+
+    @property
+    def d_max(self) -> float:
+        """The largest |d_ij|, whose inverse is the natural time unit; 0 for one spin."""
+        return float(np.abs(self.couplings).max()) if self.n_spins > 1 else 0.0
 
     def pairs(self):
         """Yield (i, j, d_ij) for every pair i < j with a nonzero coupling."""

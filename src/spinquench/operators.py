@@ -39,16 +39,27 @@ _WORKSPACES: "weakref.WeakKeyDictionary[CouplingNetwork, _Workspace]" = weakref.
 class SpinBasis:
     """Zeeman product basis with M_z bookkeeping.
 
-    mz_of[s] is the magnetic quantum number of basis state s; the M_z
-    sector with k spins up is the mask n_up == k.
+    Basis state s is the integer 0 <= s < 2^n itself, so the basis keeps
+    only n_up[s], its popcount; the M_z sector with k spins up is the mask
+    n_up == k.  The other tables are derived from it on each access.
     """
 
     n_spins: int
-    dimension: int
-    states: np.ndarray
     n_up: np.ndarray
-    mz_of: np.ndarray
-    parity: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.n_up.size
+
+    @property
+    def mz_of(self) -> np.ndarray:
+        """mz_of[s], the magnetic quantum number n_up[s] - n/2 of state s."""
+        return self.n_up.astype(np.float64) - 0.5 * self.n_spins
+
+    @property
+    def parity(self) -> np.ndarray:
+        """parity[s], the popcount parity of state s."""
+        return self.n_up & 1
 
 
 def build_basis(n_spins: int) -> SpinBasis:
@@ -59,14 +70,9 @@ def build_basis(n_spins: int) -> SpinBasis:
     """
     if not 1 <= n_spins <= MAX_SPINS:
         raise CapacityError(f"n_spins must be in [1, {MAX_SPINS}], got {n_spins}")
-    dim = 1 << n_spins
-    states = np.arange(dim, dtype=np.intp)
-    n_up = np.bitwise_count(states).astype(np.uint8)
-    mz = n_up.astype(np.float64) - 0.5 * n_spins
-    parity = (n_up & 1).astype(np.uint8)
-    for a in (states, n_up, mz, parity):
-        a.flags.writeable = False
-    return SpinBasis(n_spins, dim, states, n_up, mz, parity)
+    n_up = np.bitwise_count(np.arange(1 << n_spins, dtype=np.intp)).astype(np.uint8)
+    n_up.flags.writeable = False
+    return SpinBasis(n_spins, n_up)
 
 
 def gaussian_state(basis: SpinBasis, seed) -> np.ndarray:
@@ -178,12 +184,12 @@ class _Workspace:
 def workspace_bytes(n_spins: int, n_pairs: int) -> int:
     """Bytes a built _Workspace holds: a float64 value and an index per
     entry of the parity blocks of H_0 and H_dd (2^n (pairs + 1) in all),
-    the basis (18 B per state) and four indptr of 2^(n-1) + 1.  A block's
+    the basis (1 B per state) and four indptr of 2^(n-1) + 1.  A block's
     partner layout and mask (5 B per entry of that block) are freed before,
     and stay below, any estimator's peak."""
     dim = 1 << n_spins
     index = 4 if (dim >> 1) * (n_pairs + 1) < 2**31 else 8  # as _Workspace._csr
-    return (8 + index) * dim * (n_pairs + 1) + (18 + 2 * index) * dim
+    return (8 + index) * dim * (n_pairs + 1) + (1 + 2 * index) * dim
 
 
 def workspace_for(network: CouplingNetwork) -> _Workspace:
@@ -243,7 +249,7 @@ def dense_hamiltonian(network: CouplingNetwork, p: float, indices: np.ndarray | 
     ws = workspace_for(network)
     if indices is None:
         return _apply_mixed_array(ws, p, np.eye(ws.basis.dimension))
-    parity = ws.basis.parity[indices]
+    parity = ws.basis.n_up[indices] & 1
     if np.any(parity != parity[0]):
         raise ValueError("indices must lie in one popcount-parity block")
     ranks = np.asarray(indices) >> 1

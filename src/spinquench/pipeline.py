@@ -87,7 +87,7 @@ def _one_file_each(key: str, values, filename):
 def _simulate_task(network, label: str, digest: str, protocol, estimator, seed: int) -> str:
     """The trajectory file body of one (p, seed) task."""
     traj = trajectory(network, protocol, estimator)
-    traj.metadata.update(base_seed=traj.metadata["seed"], seed=int(seed), label=label)
+    traj.metadata.update(seed=int(seed), label=label)
     return sqio.format_trajectory(traj, digest)
 
 

@@ -124,9 +124,19 @@ class CollapseResult:
     """
 
     shifts: dict
-    residual: float
     pooled: ScalingFunctionSample
     pair_stats: dict
+
+    @property
+    def residual(self) -> float:
+        """RMS deviation over every pair."""
+        return self._rms_without(None)
+
+    def _rms_without(self, excluded) -> float:
+        stats = [sc for k, sc in self.pair_stats.items() if k != excluded]
+        sq = sum(s for s, _ in stats)
+        cnt = sum(c for _, c in stats)
+        return math.sqrt(sq / cnt) if cnt else 0.0
 
     @property
     def xi_raw(self) -> dict:
@@ -149,11 +159,7 @@ class CollapseResult:
         collapse quality.  collapse solves every pair on its own, so that
         mismatch has moved no other shift; it is only left out here.
         """
-        excluded = self.excluded_pair()
-        stats = [sc for k, sc in self.pair_stats.items() if k != excluded]
-        sq = sum(s for s, _ in stats)
-        cnt = sum(c for _, c in stats)
-        return math.sqrt(sq / cnt) if cnt else 0.0
+        return self._rms_without(self.excluded_pair())
 
 
 @dataclass(frozen=True)
@@ -368,16 +374,12 @@ def collapse(curves: list[RescaledCurve]) -> CollapseResult:
         deltas.append(delta)
         pair_stats[(c1.p, c2.p)] = (float(sq[0]), int(cnt[0]))
     shifts = np.concatenate([[0.0], np.cumsum(deltas)])
-    total_sq = sum(sq for sq, _ in pair_stats.values())
-    total_cnt = sum(cnt for _, cnt in pair_stats.values())
-    residual = math.sqrt(total_sq / total_cnt) if total_cnt else 0.0
     xs = np.concatenate([c.x + s for c, s in zip(curves, shifts)])
     ys = np.concatenate([c.y for c in curves])
     ps = np.concatenate([np.full(c.x.size, c.p) for c in curves])
     order = np.argsort(xs, kind="stable")
     pooled = ScalingFunctionSample(xs[order], ys[order], ps[order])
-    return CollapseResult({c.p: float(s) for c, s in zip(curves, shifts)}, residual, pooled,
-                          pair_stats)
+    return CollapseResult({c.p: float(s) for c, s in zip(curves, shifts)}, pooled, pair_stats)
 
 
 def estimate_k_loc(traj: ClusterTrajectory) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spinquench
+from spinquench.cli import main
 from spinquench.config import SCHEMA, RunConfig
 from spinquench.errors import ConfigError
 from spinquench.io import (
@@ -347,6 +348,20 @@ class TestTrajectoryFiles:
         path.write_text("# spinquench trajectory v1\n# p=0.1\ntime,K\n1.0,0.2\n")
         with pytest.raises(ConfigError, match=">= 1"):
             read_trajectory_file(path)
+
+    @pytest.mark.parametrize("columns", ["a-1,a1,a0", "a-1,a0,a0", "a-2,a0,a2", "a0,a1"])
+    def test_order_columns_must_run_contiguously(self, tmp_path, columns):
+        """Order columns that reorder, repeat or skip an order, or that
+        leave out the negative ones, hold no spectrum over -n..n: reading
+        the file raises, and scale on its directory exits 2."""
+        weights = ",".join(["0.5"] * 2 + ["0.0"] * (columns.count(",") - 1))
+        path = tmp_path / trajectory_filename(0.1, 0)
+        path.write_text(f"# spinquench trajectory v1\n# p=0.1\ntime,K,{columns}\n1.0,1.0,{weights}\n")
+        with pytest.raises(ConfigError, match="order columns must run a-n..an contiguously"):
+            read_trajectory_file(path)
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text(f"scale.input_dir = {tmp_path}\n")
+        assert main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
     def test_no_temp_files_left_behind(self, tmp_path):
         write_trajectory_file(tmp_path / "t.csv", sample_trajectory(), "d")

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from spinquench.errors import CapacityError, NumericalError
 from spinquench.evolution import (
+    TOL,
     Propagator,
     QuenchProtocol,
     _spectral_interval,
@@ -51,15 +52,15 @@ def unit_state(net, seed):
     return v / np.linalg.norm(v)
 
 
-def evolve(net, p, t, v, tol=1e-10):
+def evolve(net, p, t, v):
     """exp(-i H(p) t) v through a one-point average-mode Propagator."""
-    prop = Propagator(net, QuenchProtocol.average(p, [t], tol=tol))
+    prop = Propagator(net, QuenchProtocol.average(p, [t]))
     return prop.span_forward(v, 0)
 
 
 def evolve_cycles(net, p, tau_c, n_cycles, v):
     """n_cycles Floquet cycles of length tau_c through a Propagator."""
-    prop = Propagator(net, QuenchProtocol.floquet(p, tau_c, [n_cycles], tol=1e-12))
+    prop = Propagator(net, QuenchProtocol.floquet(p, tau_c, [n_cycles]))
     return prop.span_forward(v, 0)
 
 
@@ -77,8 +78,13 @@ class TestProtocolValidation:
             QuenchProtocol.average(0.0, [-1.0, 0.5])
 
     def test_floquet_requires_consistent_p_and_integer_cycles(self):
-        with pytest.raises(ValueError, match="p must equal"):
-            QuenchProtocol("floquet", 0.3, np.array([1.0]), tau_0=1.0, tau_dd=1.0)
+        """The legs are derived from p and tau_c, so p = tau_dd / (tau_0 +
+        tau_dd) holds by construction; cycle counts must be integers."""
+        for p in (0.0, 0.1, 0.3, 1.0 / 3.0, 0.7, 1.0):
+            for tau_c in (0.07, 0.3, 1.0, 13.7):
+                prot = QuenchProtocol.floquet(p, tau_c, [1])
+                assert prot.tau_0 >= 0.0 and prot.tau_dd >= 0.0
+                assert abs(prot.tau_dd / (prot.tau_0 + prot.tau_dd) - p) < 1e-12
         with pytest.raises(ValueError, match="integer cycle"):
             QuenchProtocol.floquet(0.5, 0.2, [1.5])
 
@@ -86,6 +92,18 @@ class TestProtocolValidation:
         prot = QuenchProtocol.floquet(0.25, 0.8, [1, 2, 4])
         assert_allclose(prot.times, [0.8, 1.6, 3.2])
         assert_allclose(prot.tau_dd / (prot.tau_0 + prot.tau_dd), 0.25, atol=1e-15)
+
+    def test_digest_and_times_pinned(self):
+        """Trajectory files carry the protocol digest, and their time
+        column is .times, so a refactor that moves either changes file
+        bytes.  Floquet times are grid (tau_0 + tau_dd), which for p = 0.1,
+        tau_c = 0.3 is one ulp above grid tau_c."""
+        a = QuenchProtocol.average(0.3, [0.1, 0.7, 2.5])
+        assert a.digest() == "cb0731bc573bf923"
+        assert a.times.tolist() == [0.1, 0.7, 2.5]
+        f = QuenchProtocol.floquet(0.1, 0.3, [1, 3, 10])
+        assert f.digest() == "5d00e981feda1005"
+        assert f.times.tolist() == [0.30000000000000004, 0.9000000000000001, 3.0000000000000004]
 
     def test_digest_distinguishes_protocols(self):
         a = QuenchProtocol.average(0.3, [1.0, 2.0])
@@ -109,7 +127,7 @@ class TestPropagateAverage:
         geo = SpinGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), Z)
         net = dipolar_couplings(geo)
         d = net.couplings[0, 1]
-        out = evolve(net, 0.0, dt, basis_vector(2, 0b00), tol=1e-12)
+        out = evolve(net, 0.0, dt, basis_vector(2, 0b00))
         assert_allclose(out[0b11], 1j * np.sin(d * dt / 2), atol=1e-11)
         assert_allclose(out[0b00], np.cos(d * dt / 2), atol=1e-11)
 
@@ -117,26 +135,24 @@ class TestPropagateAverage:
     def test_matches_dense_exponential_n6(self, p, t):
         net = jittered_network(6, 17)
         v = unit_state(net, 2)
-        got = evolve(net, p, t, v, tol=1e-10)
+        got = evolve(net, p, t, v)
         want = evolve_state_dense(h_mixed_dense(net, p), v, t)
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_norm_preserved_to_solver_tolerance(self):
         net = jittered_network(8, 23)
         v = unit_state(net, 4)
-        tol = 1e-10
-        out = evolve(net, 0.35, 5.0, v, tol=tol)
-        assert abs(np.linalg.norm(out) - 1.0) <= 10 * tol
+        out = evolve(net, 0.35, 5.0, v)
+        assert abs(np.linalg.norm(out) - 1.0) <= 10 * TOL
 
     def test_backward_after_forward_restores_input(self):
         net = jittered_network(7, 29)
         v = unit_state(net, 6)
-        tol = 1e-10
-        prop = Propagator(net, QuenchProtocol.average(0.6, [3.0], tol=tol))
+        prop = Propagator(net, QuenchProtocol.average(0.6, [3.0]))
         fwd = prop.step_forward(v, 0)
         back = prop.step_backward(fwd, 0)
         fidelity = abs(np.vdot(v, back))
-        assert fidelity >= 1.0 - 100 * tol
+        assert fidelity >= 1.0 - 100 * TOL
 
 
 class TestPropagateFloquet:
@@ -144,14 +160,14 @@ class TestPropagateFloquet:
         net = chain_network(5)
         v = unit_state(net, 8)
         cycles = evolve_cycles(net, 0.0, 0.5, 4, v)
-        direct = evolve(net, 0.0, 2.0, v, tol=1e-12)
+        direct = evolve(net, 0.0, 2.0, v)
         assert np.max(np.abs(cycles - direct)) < 1e-10
 
     def test_zero_quench_leg_reduces_to_pure_dipolar(self):
         net = chain_network(5)
         v = unit_state(net, 9)
         cycles = evolve_cycles(net, 1.0, 0.5, 4, v)
-        direct = evolve(net, 1.0, 2.0, v, tol=1e-12)
+        direct = evolve(net, 1.0, 2.0, v)
         assert np.max(np.abs(cycles - direct)) < 1e-10
 
     def test_first_order_convergence_to_average_hamiltonian(self):
@@ -160,7 +176,7 @@ class TestPropagateFloquet:
         net = jittered_network(6, 31)
         v = unit_state(net, 10)
         p, t_total = 0.4, 2.0
-        ref = evolve(net, p, t_total, v, tol=1e-12)
+        ref = evolve(net, p, t_total, v)
         errs = []
         for n_cyc in (10, 20, 40):
             tau_c = t_total / n_cyc
@@ -171,10 +187,11 @@ class TestPropagateFloquet:
             assert 1.6 < a / b < 2.6
 
     def test_invalid_cycle_parameters(self):
-        """The protocol rejects a zero cycle time and a negative cycle
-        count before any Propagator is built."""
-        with pytest.raises(ValueError, match="tau_0 \\+ tau_dd > 0"):
-            QuenchProtocol.floquet(0.0, 0.0, [2])
+        """The protocol rejects a cycle time that is not finite and positive,
+        and a negative cycle count, before any Propagator is built."""
+        for tau_c in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tau_0 \\+ tau_dd > 0"):
+                QuenchProtocol.floquet(0.0, tau_c, [2])
         with pytest.raises(ValueError, match="non-negative"):
             QuenchProtocol.floquet(0.5, 1.0, [-1])
 
@@ -258,12 +275,12 @@ class TestKrylovStep:
         Bessel coefficients (-i)^k J_k(x) give, or one term later."""
         from scipy.special import jv
 
-        c, r, dim, tol = 0.5, 4.0, 40, 1e-10
+        c, r, dim = 0.5, 4.0, 40
         lam = c + r * np.cos(np.pi * (np.arange(dim) + 0.5) / dim)
         k = np.arange(int(x + 10.0 * x ** (1.0 / 3.0) + 20))
         bessel = 2.0 * np.abs(jv(k, x))
         bessel[0] /= 2.0
-        n_terms = max(1, np.count_nonzero(np.cumsum(bessel[::-1])[::-1] >= 0.01 * tol))
+        n_terms = max(1, np.count_nonzero(np.cumsum(bessel[::-1])[::-1] >= 0.01 * TOL))
         rng = np.random.default_rng(17)
         for dt in (x / r, -x / r):
             for shape in ((dim,), (dim, 3)):
@@ -274,7 +291,7 @@ class TestKrylovStep:
                     calls.append(1)
                     return lam.reshape((dim,) + (1,) * (u.ndim - 1)) * u
 
-                got = expm_multiply_krylov(matvec, v, dt, spectrum=(c - r, c + r), tol=tol)
+                got = expm_multiply_krylov(matvec, v, dt, spectrum=(c - r, c + r))
                 want = np.exp(-1j * dt * lam).reshape(v.shape[:1] + (1,) * (v.ndim - 1)) * v
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(v)
                 assert n_terms - 1 <= len(calls) <= n_terms
@@ -298,7 +315,7 @@ class TestKrylovStep:
 
     def test_propagator_span_equals_stepping(self):
         net = jittered_network(5, 41)
-        prot = QuenchProtocol.average(0.3, [0.5, 1.1, 2.3], tol=1e-12)
+        prot = QuenchProtocol.average(0.3, [0.5, 1.1, 2.3])
         prop = Propagator(net, prot)
         v = unit_state(net, 12)
         stepped = v
@@ -309,7 +326,7 @@ class TestKrylovStep:
 
     def test_propagator_step_backward_inverts_step_forward(self):
         net = jittered_network(5, 43)
-        prot = QuenchProtocol.floquet(0.5, 0.4, [2, 5], tol=1e-12)
+        prot = QuenchProtocol.floquet(0.5, 0.4, [2, 5])
         prop = Propagator(net, prot)
         v = unit_state(net, 14)
         fwd = prop.step_forward(v, 1)

@@ -31,25 +31,32 @@ def jittered_network(n, seed):
     return dipolar_couplings(SpinGeometry(pos, Z))
 
 
-def spectrum_from_weights(orders, weights):
+def spectrum_from_weights(weights):
     w = np.asarray(weights, dtype=float)
-    return MqcSpectrum(orders=np.asarray(orders), weights=w / w.sum())
+    return MqcSpectrum(w / w.sum())
 
 
 class TestSpectrumValidation:
     def test_orders_must_be_contiguous_symmetric(self):
-        with pytest.raises(ValueError, match="contiguously"):
-            MqcSpectrum(orders=np.array([0, 1, 2]), weights=np.array([1.0, 0, 0]))
+        """The orders are -n..n by construction, read off the weight count;
+        an even count or a 2-D array holds no such range.  Order columns
+        of trajectory files are checked where they are read
+        (test_config_io.py, test_order_columns_must_run_contiguously)."""
+        s = MqcSpectrum(np.array([0.25, 0.5, 0.25]))
+        assert s.n_spins == 1
+        assert_allclose(s.orders, [-1, 0, 1])
+        for weights in (np.array([0.5, 0.5]), np.full((3, 3), 1.0 / 9.0)):
+            with pytest.raises(ValueError, match="2n \\+ 1 orders"):
+                MqcSpectrum(weights)
 
     def test_weights_checked(self):
-        orders = np.arange(-1, 2)
         with pytest.raises(ValueError, match="sum to 1"):
-            MqcSpectrum(orders=orders, weights=np.array([0.2, 0.2, 0.2]))
+            MqcSpectrum(np.array([0.2, 0.2, 0.2]))
         with pytest.raises(ValueError, match="non-negative"):
-            MqcSpectrum(orders=orders, weights=np.array([-0.5, 1.0, 0.5]))
+            MqcSpectrum(np.array([-0.5, 1.0, 0.5]))
 
     def test_even_envelope_symmetrizes(self):
-        s = spectrum_from_weights(np.arange(-2, 3), [0.1, 0.0, 0.6, 0.0, 0.3])
+        s = spectrum_from_weights([0.1, 0.0, 0.6, 0.0, 0.3])
         ks, a, floor = s.even_envelope()
         assert_allclose(ks, [0, 2])
         assert_allclose(a, [0.6, 0.2])
@@ -58,21 +65,21 @@ class TestSpectrumValidation:
 
 class TestClusterSize:
     def test_pure_zero_order_is_one(self):
-        s = spectrum_from_weights(np.arange(-2, 3), [0, 0, 1.0, 0, 0])
+        s = spectrum_from_weights([0, 0, 1.0, 0, 0])
         assert cluster_size(s) == 1.0
 
     @given(st.integers(-6, 6))
     def test_any_single_order_spectrum_is_one(self, n):
         w = np.zeros(13)
         w[6 + n] = 1.0
-        s = spectrum_from_weights(np.arange(-6, 7), w)
+        s = spectrum_from_weights(w)
         assert cluster_size(s) == 1.0
 
     def test_gaussian_envelope_sixteen(self):
         """A(n) = c exp(-n^2/16) crosses a(0)/e exactly at n = 4."""
         orders = np.arange(-16, 17)
         w = np.where(orders % 2 == 0, np.exp(-orders.astype(float) ** 2 / 16.0), 0.0)
-        s = spectrum_from_weights(orders, w)
+        s = spectrum_from_weights(w)
         assert_allclose(cluster_size(s), 16.0, atol=1e-9)
         ks, a, _ = s.even_envelope()
         assert_allclose(_gaussian_k(ks, a, s.n_spins), 16.0, atol=1e-9)
@@ -80,8 +87,8 @@ class TestClusterSize:
     def test_rescaling_weights_before_normalization_is_invariant(self):
         orders = np.arange(-4, 5)
         w = np.where(orders % 2 == 0, np.exp(-orders.astype(float) ** 2 / 3.0), 0.0)
-        a = spectrum_from_weights(orders, w)
-        b = spectrum_from_weights(orders, 7.5 * w)
+        a = spectrum_from_weights(w)
+        b = spectrum_from_weights(7.5 * w)
         assert cluster_size(a) == cluster_size(b)
 
     @pytest.mark.parametrize("dt,expected", [(0.4, 1.0), (0.55, 1.4315392389866175), (0.75, 2.0)])
@@ -104,7 +111,7 @@ class TestClusterSize:
         w = np.zeros(2 * n + 1)
         for i, a in enumerate(envelope):
             w[n + 2 * i] = w[n - 2 * i] = a
-        return spectrum_from_weights(np.arange(-n, n + 1), w)
+        return spectrum_from_weights(w)
 
     def test_crossing_measured_from_order_zero_when_order_two_dominates(self):
         """a(2) > a(0) with one crossing of a(0)/e between orders 2 and 4:
@@ -217,10 +224,12 @@ class TestTrajectory:
     def test_metadata_recorded(self):
         net = jittered_network(4, 17)
         prot = QuenchProtocol.average(0.25, [0.5, 1.0])
-        tr = trajectory(net, prot, EstimatorConfig(kind="exact", keep_spectra=True))
+        tr = trajectory(net, prot, EstimatorConfig(kind="exact", base_seed=5, keep_spectra=True))
         assert tr.metadata["n_spins"] == 4
         assert tr.metadata["p"] == 0.25
         assert tr.metadata["protocol_digest"] == prot.digest()
+        # the replica seed is the caller's to add; the estimator records its own
+        assert tr.metadata["base_seed"] == 5 and "seed" not in tr.metadata
         assert len(tr.spectra) == 2
 
     def test_exact_estimator_capped_at_fourteen_spins(self):

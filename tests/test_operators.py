@@ -62,7 +62,7 @@ class TestBasis:
 
     def test_mz_matches_popcount(self):
         b = build_basis(5)
-        for s in b.states:
+        for s in range(b.dimension):
             assert b.mz_of[s] == bin(s).count("1") - 2.5
 
     def test_capacity_cap(self):
@@ -73,7 +73,7 @@ class TestBasis:
 
     def test_parity_sectors_partition_basis(self):
         b = build_basis(4)
-        even, odd = b.states[b.parity == 0], b.states[b.parity == 1]
+        even, odd = np.flatnonzero(b.parity == 0), np.flatnonzero(b.parity == 1)
         assert even.size + odd.size == b.dimension
         assert all(bin(s).count("1") % 2 == 0 for s in even)
         assert all(bin(s).count("1") % 2 == 1 for s in odd)
@@ -230,7 +230,7 @@ class TestDenseOracleEquivalence:
     def test_dense_hamiltonian_parity_restriction(self):
         net = random_network(4, 8)
         b = workspace_for(net).basis
-        even, odd = b.states[b.parity == 0], b.states[b.parity == 1]
+        even, odd = np.flatnonzero(b.parity == 0), np.flatnonzero(b.parity == 1)
         h = h_mixed_dense(net, 0.3).real
         assert_allclose(dense_hamiltonian(net, 0.3, even), h[np.ix_(even, even)], atol=1e-12)
         # parity sectors are closed: no matrix elements between them

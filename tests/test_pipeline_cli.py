@@ -207,10 +207,10 @@ class TestSimulate:
         physical memory: in average mode 9 real d x d arrays of one block,
         d = 2^(n-2) for even n, plus 48 MiB, plus the workspace: 12 B per
         state for the diagonal and each coupled pair of the sparse
-        H_0 + H_dd and 26 B per state for the basis and indptr.  The 5x2x1
+        H_0 + H_dd and 9 B per state for the basis and indptr.  The 5x2x1
         lattice has 10 spins and 45 pairs, so d = 256."""
         text = SIM_SMALL.replace("2, 2, 1", "5, 2, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0")
-        need = 8 * 256 * 256 * 9 + 48 * 2**20 + 12 * 1024 * (45 + 1) + 26 * 1024
+        need = 8 * 256 * 256 * 9 + 48 * 2**20 + 12 * 1024 * (45 + 1) + 9 * 1024
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -229,7 +229,7 @@ class TestSimulate:
             text = SIM_SMALL.replace("2, 2, 1", shape).replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
                 .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
                 .replace("geom:0.4:1.6:3", "1, 2")
-            need = 8 * d * d * arrays + 48 * 2**20 + 12 * 2**n * (pairs + 1) + 26 * 2**n
+            need = 8 * d * d * arrays + 48 * 2**20 + 12 * 2**n * (pairs + 1) + 9 * 2**n
             out = tmp_path / f"n{n}"
             monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
             with pytest.raises(CapacityError, match="physical memory"):
@@ -240,14 +240,14 @@ class TestSimulate:
     def test_typicality_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The typicality check compares a byte estimate with physical
         memory: the workspace (12 B per state for the diagonal and each
-        coupled pair of the sparse H_0 + H_dd, 26 B per state for the basis
+        coupled pair of the sparse H_0 + H_dd, 9 B per state for the basis
         and indptr) plus the grid loop's peak, 8 complex (2^(n-1), c) blocks
         (128 B per row and column) and 73 B per row, plus 1 MiB.  The 2x2x1
         lattice has 4 spins and 6 pairs; a parity block holds at most 2 of
         the sectors with 2, 3 and 4 spins up, so a sample pair gives c = 4."""
         text = SIM_SMALL.replace("estimator.kind = exact", "estimator.kind = typicality\n"
                                  "estimator.n_samples = 2")
-        need = 12 * 16 * (6 + 1) + 26 * 16 + (128 * 4 + 73) * 8 + 2**20
+        need = 12 * 16 * (6 + 1) + 9 * 16 + (128 * 4 + 73) * 8 + 2**20
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)

@@ -258,15 +258,16 @@ class TestCollapse:
 
     def test_scale_factors_exponentiate_shifts(self):
         pooled = ScalingFunctionSample(np.zeros(1), np.zeros(1), np.zeros(1))
-        result = CollapseResult({0.1: 0.0, 0.2: math.log(2.0)}, 0.0, pooled, {})
+        result = CollapseResult({0.1: 0.0, 0.2: math.log(2.0)}, pooled, {})
         assert result.xi_raw == {0.1: pytest.approx(1.0), 0.2: pytest.approx(2.0)}
 
     def test_trimmed_residual_drops_worst_pair(self):
         pooled = ScalingFunctionSample(np.zeros(1), np.zeros(1), np.zeros(1))
         stats = {(0.1, 0.2): (4.0, 1), (0.2, 0.3): (1.0, 1), (0.3, 0.4): (100.0, 1)}
-        result = CollapseResult({}, 0.0, pooled, stats)
+        result = CollapseResult({}, pooled, stats)
         assert result.trimmed_residual() == pytest.approx(math.sqrt(5.0 / 2.0))
-        two = CollapseResult({}, 0.0, pooled, {(0.1, 0.2): (4.0, 1), (0.2, 0.3): (1.0, 1)})
+        assert result.residual == pytest.approx(math.sqrt(105.0 / 3.0))
+        two = CollapseResult({}, pooled, {(0.1, 0.2): (4.0, 1), (0.2, 0.3): (1.0, 1)})
         assert two.trimmed_residual() == pytest.approx(math.sqrt(5.0 / 2.0))
 
 
