@@ -52,11 +52,17 @@ def _parse_int_list(raw: str) -> list:
     return _parse_list(raw, int)
 
 
-def _parse_seed(raw: str) -> int:
-    seed = int(raw)
-    if seed < 0:
-        raise ValueError(f"a seed must be >= 0, got {seed}")
-    return seed
+def _non_negative(what: str):
+    """Parser of an int >= 0 whose error names the value `what`."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < 0:
+            raise ValueError(f"{what} must be >= 0, got {value}")
+        return value
+    return parse
+
+
+_parse_seed = _non_negative("a seed")
 
 
 def _parse_seed_list(raw: str) -> list:
@@ -118,7 +124,7 @@ SCHEMA = {
     "scale.beta_grid": _parse_float_list,
     "scale.t_min": float,
     "scale.growth_t_min": float,
-    "scale.n_bootstrap": int,
+    "scale.n_bootstrap": _non_negative("a resample count"),
     "scale.bootstrap_seed": _parse_seed,
     "plot.input_dir": str,
     "plot.report": str,

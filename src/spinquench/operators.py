@@ -85,17 +85,6 @@ def gaussian_state(basis: SpinBasis, seed) -> np.ndarray:
     return (rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)) / np.sqrt(2.0)
 
 
-def _assert_hermitian(m: np.ndarray, tol: float):
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    stripe = 256
-    worst = 0.0
-    for lo in range(0, m.shape[0], stripe):
-        hi = min(lo + stripe, m.shape[0])
-        worst = max(worst, float(np.abs(m[lo:hi, :] - m[:, lo:hi].conj().T).max()))
-    if worst > tol * scale:
-        raise ValueError(f"matrix not Hermitian: max deviation {worst:.3e} (scale {scale:.3e})")
-
-
 @dataclass(eq=False)
 class DensityMatrix:
     """Dense density operator over a SpinBasis, Hermitian by construction.
@@ -112,7 +101,9 @@ class DensityMatrix:
         dim = self.basis.dimension
         if m.shape != (dim, dim):
             raise ValueError(f"entries must have shape ({dim}, {dim}), got {m.shape}")
-        _assert_hermitian(m, 1e-12)
+        worst = float(np.abs(m - m.conj().T).max())
+        if worst > 1e-12 * max(1.0, float(np.abs(m).max())):
+            raise ValueError(f"matrix not Hermitian: max deviation {worst:.3e}")
         self.entries = m
 
 
@@ -263,10 +254,6 @@ def coherence_order_weights(rho: np.ndarray, basis: SpinBasis) -> np.ndarray:
     equals Tr[rho rho†] = sum |rho_rc|^2.
     """
     n = basis.n_spins
-    sectors = [basis.n_up == k for k in range(n + 1)]
-    weights = np.zeros(2 * n + 1)
-    for r_up, ri in enumerate(sectors):
-        for c_up, ci in enumerate(sectors):
-            block = rho[np.ix_(ri, ci)]
-            weights[n + (r_up - c_up)] += float(np.sum(block.real**2 + block.imag**2))
-    return weights
+    n_up = basis.n_up.astype(np.intp)
+    return np.bincount((n + n_up[:, None] - n_up[None, :]).ravel(),
+                       weights=(rho.real**2 + rho.imag**2).ravel(), minlength=2 * n + 1)

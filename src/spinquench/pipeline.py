@@ -26,7 +26,7 @@ from .errors import CapacityError, ConfigError
 from .evolution import exact_peak_bytes
 from .mqc import ClusterTrajectory, trajectory, typicality_peak_bytes
 from .operators import workspace_bytes
-from .scaling import (fit_growth_exponent, full_scaling_analysis, rescale,
+from .scaling import (XI_FIT_MIN_P, fit_growth_exponent, full_scaling_analysis, rescale,
                       synth_trajectories)
 
 WORKERS_ENV = "SPINQUENCH_WORKERS"
@@ -185,8 +185,8 @@ def cmd_scale(config: RunConfig, out_dir) -> dict:
     digest identifies the report."""
     out = _ensure_outdir(out_dir)
     combined = load_input_trajectories(config)
-    if len(combined) < 3:
-        raise ConfigError(f"collapse needs >= 3 curves at distinct p, "
+    if len(combined) < XI_FIT_MIN_P:
+        raise ConfigError(f"the xi fit needs >= {XI_FIT_MIN_P} curves at distinct p, "
                           f"found {len(combined)} (p={[tr.p for tr in combined]})")
     anchor_p = config.get("scale.anchor_p", max(tr.p for tr in combined))
     if not any(math.isclose(tr.p, anchor_p, rel_tol=1e-9, abs_tol=1e-9) for tr in combined):

@@ -52,6 +52,10 @@ GROWTH_SLOPE_MIN = 0.1
 #: local log-log slope below this (in magnitude) counts as saturated
 PLATEAU_SLOPE_MAX = 0.05
 
+#: fewest distinct p the xi fit takes: one per parameter of the gauged model
+XI_FIT_MIN_P = 5
+_XI_PARAMS = ("A", "B", "nu", "p_c")
+
 
 @dataclass(frozen=True)
 class GrowthFit:
@@ -458,61 +462,61 @@ def _xi_jacobian(theta, ps, log_vals, below) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
+def _polish(x0, ps: np.ndarray, log_vals: np.ndarray, k: int):
+    """Bounded least squares with the analytic Jacobian from x0 = (A, B, nu,
+    p_c[, ln gamma]): p_c in [p_{k-1}, p_k], gamma on the k lowest-p factors.
+    Returns the least_squares result, or None unless it converged."""
+    from scipy.optimize import least_squares
+    n_par = len(x0)
+    bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0][:n_par],
+              [np.inf, np.inf, 10.0, ps[k], 5.0][:n_par])
+    try:
+        res = least_squares(_xi_residuals, x0, jac=_xi_jacobian, bounds=bounds,
+                            args=(ps, log_vals, np.arange(ps.size) < k),
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    except ValueError:  # non-finite residuals at x0; LinAlgError is one too
+        return None
+    return res if res.success or res.cost < 1e-20 else None
+
+
+def _fit_gaps(xi: dict, gaps, gauged: bool) -> XiFit:
     """Fit log xi = ln gamma [i < k] - log(A |p - p_c|^nu + B), one gap k at a time.
 
-    For gap k, p_c is bounded to [p_{k-1}, p_k] and gamma multiplies
-    exactly the k lowest-p factors (gamma = 1 and no ln gamma parameter
-    when not gauged).  Each gap starts from 5 interior p_c values, times
-    ln gamma in {0, 1, 2, 3} when gauged, with (A, B, nu) seeded by the
-    linear inner fit on the gamma-corrected factors; the 3 starts of least
-    initial cost are polished.  A given start (A, B, nu, p_c[, ln gamma])
-    replaces the multi-start.  Every polish gets the analytic Jacobian
-    (_xi_jacobian, defined where p_c sits on a sampled p too) instead of
-    finite differences.  Only polishes that converge count, and FitError
-    is raised when none does.  The gap of least cost wins;
-    standard errors come from the Jacobian there and are NaN when the fit
-    has no degrees of freedom left.
+    Each gap scores 5 interior p_c values, times ln gamma in {0, 1, 2, 3}
+    when gauged, with (A, B, nu) seeded by the linear inner fit on the
+    gamma-corrected factors and a bounded search over nu; the start of
+    least initial cost is polished once (_polish).  Only polishes that
+    converge count, and FitError is raised when none does.  The gap of
+    least cost wins; standard errors come from the Jacobian there and are
+    NaN when the fit has no degrees of freedom left.
     """
-    from scipy.optimize import least_squares, minimize_scalar
+    from scipy.optimize import minimize_scalar
     ps = np.array(sorted(xi))
-    if ps.size < 5:
-        raise InsufficientDataError(f"xi fit needs >= 5 distinct p values, got {ps.size}")
+    if ps.size < XI_FIT_MIN_P:
+        raise InsufficientDataError(f"xi fit needs >= {XI_FIT_MIN_P} distinct p values, got {ps.size}")
     vals = np.array([xi[p] for p in ps])
     if np.any(vals <= 0):
         raise FitError("scaling factors must be positive")
     log_vals = np.log(vals)
     lngs = (0.0, 1.0, 2.0, 3.0) if gauged else (0.0,)
     n_par = 5 if gauged else 4
+
+    def initial(pc0, lng0, below):
+        inv = np.exp(lng0 * below) / vals
+        inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
+                                bounds=(0.05, 5.0), method="bounded", options={"xatol": 1e-8})
+        a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
+        return [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0][:n_par]
+
     best, best_k = None, None
     for k in gaps:
         below = np.arange(ps.size) < k
-        args = (ps, log_vals, below)
-        starts = [start]
-        if start is None:
-            scored = []
-            for pc0 in np.linspace(ps[k - 1], ps[k], 7)[1:-1]:
-                for lng0 in lngs:
-                    inv = np.exp(lng0 * below) / vals
-                    inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
-                                            bounds=(0.05, 5.0), method="bounded",
-                                            options={"xatol": 1e-8})
-                    a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
-                    x0 = [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0][:n_par]
-                    scored.append((float(np.sum(_xi_residuals(np.array(x0), *args) ** 2)), x0))
-            scored.sort(key=lambda row: row[0])
-            starts = [x0 for _, x0 in scored[:3]]
-        bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0][:n_par],
-                  [np.inf, np.inf, 10.0, ps[k], 5.0][:n_par])
-        for x0 in starts:
-            try:
-                res = least_squares(_xi_residuals, x0, jac=_xi_jacobian, bounds=bounds,
-                                    args=args, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            except ValueError:  # non-finite residuals at x0; LinAlgError is one too
-                continue
-            converged = res.success or res.cost < 1e-20
-            if converged and (best is None or res.cost < best.cost):
-                best, best_k = res, k
+        x0 = min((initial(pc0, lng0, below) for pc0 in np.linspace(ps[k - 1], ps[k], 7)[1:-1]
+                  for lng0 in lngs),
+                 key=lambda x: float(np.sum(_xi_residuals(np.array(x), ps, log_vals, below) ** 2)))
+        res = _polish(x0, ps, log_vals, k)
+        if res is not None and (best is None or res.cost < best.cost):
+            best, best_k = res, k
     if best is None:
         raise FitError(f"xi fit converged from no start in gaps {list(gaps)}")
     dof = ps.size - n_par
@@ -523,7 +527,7 @@ def _fit_gaps(xi: dict, gaps, gauged: bool, start=None) -> XiFit:
         se = np.full(n_par, np.nan)
     a, b, nu, pc = best.x[:4]
     return XiFit(A=float(a), B=float(b), nu=float(nu), p_c=float(pc),
-                 std_err=dict(zip(("A", "B", "nu", "p_c"), se[:4].tolist())),
+                 std_err=dict(zip(_XI_PARAMS, se[:4].tolist())),
                  residual=float(np.sqrt(2.0 * best.cost / ps.size)),
                  gap=(float(ps[best_k - 1]), float(ps[best_k])),
                  gamma=float(np.exp(best.x[4])) if gauged else None)
@@ -561,33 +565,28 @@ def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 
     """Residual bootstrap (multiplicative residuals) around base, the fit of xi.
 
     Each resample is base's own model, gamma on the curves below its gap
-    included, times log residuals drawn with replacement, refitted in
-    base's gap only from base's parameters.  Returns the number of
-    resamples whose refit converged (n_effective) plus std and central
+    included, times log residuals drawn with replacement, polished once in
+    base's gap from base's parameters (_polish).  Returns the number of
+    resamples whose polish converged (n_effective) plus std and central
     95% interval per parameter over those.
     """
     ps = np.array(sorted(xi))
     k = int(np.searchsorted(ps, base.gap[1]))
-    gauged = base.gamma is not None
     log_fitted = np.log(base.model(ps))
     start = [base.A, base.B, base.nu, base.p_c]
-    if gauged:
+    if base.gamma is not None:
         log_fitted[:k] += math.log(base.gamma)
         start.append(math.log(base.gamma))
     log_res = np.log([xi[p] for p in ps]) - log_fitted
     rng = np.random.default_rng(seed)
-    samples = {"A": [], "B": [], "nu": [], "p_c": []}
+    fits = []
     for _ in range(n_resamples):
-        resampled = np.exp(log_fitted + rng.choice(log_res, size=ps.size, replace=True))
-        try:
-            fit = _fit_gaps(dict(zip(ps.tolist(), resampled.tolist())), [k], gauged, start)
-        except FitError:
-            continue
-        for name, v in samples.items():
-            v.append(getattr(fit, name))
-    out = {"n_effective": len(samples["nu"])}
-    for name, v in samples.items():
-        arr = np.array(v)
+        res = _polish(start, ps, log_fitted + rng.choice(log_res, size=ps.size, replace=True), k)
+        if res is not None:
+            fits.append(res.x[:4])
+    samples = np.reshape(fits, (-1, 4))
+    out = {"n_effective": len(samples)}
+    for name, arr in zip(_XI_PARAMS, samples.T):
         out[name] = {
             "std": float(arr.std(ddof=1)) if arr.size > 1 else float("nan"),
             "ci_low": float(np.percentile(arr, 2.5)) if arr.size else float("nan"),
@@ -693,8 +692,8 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     gauge-corrected xi, and the bootstrap resamples around it.
     """
     trajs = sorted(trajs, key=lambda tr: tr.p)
-    if len({tr.p for tr in trajs}) < 3:
-        raise InsufficientDataError("scaling analysis needs at least 3 distinct p values")
+    if len({tr.p for tr in trajs}) < XI_FIT_MIN_P:
+        raise InsufficientDataError(f"scaling analysis needs >= {XI_FIT_MIN_P} distinct p values")
     growth = fit_growth_exponent(trajs[0], t_min=growth_t_min)
     eff_t_min = growth.t_min if t_min is None else t_min
     scan = beta_scan(trajs, growth, beta_grid, eff_t_min)

@@ -497,7 +497,7 @@ class TestScaleCommand:
                                      K=np.array([2.0, 4.0]), metadata={"seed": 0})
             sqio.write_trajectory_file(tmp_path / sqio.trajectory_filename(p, 0), traj, "d")
         config = RunConfig.parse(f"scale.input_dir = {tmp_path}\n")
-        with pytest.raises(ConfigError, match="collapse needs >= 3 curves"):
+        with pytest.raises(ConfigError, match="the xi fit needs >= 5 curves"):
             cmd_scale(config, tmp_path / "out")
 
 
@@ -701,12 +701,31 @@ class TestCliExitCodes:
         assert f"bad value for {key}: a seed must be >= 0" in err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_resample_count_exits_two(self, planted_family, tmp_path, capsys):
+        text = (SYNTH_FAMILY + f"scale.input_dir = {planted_family['synth_dir']}\n"
+                + "scale.beta_grid = 1.0\nscale.n_bootstrap = -5\n")
+        cfg = write_cfg(tmp_path, text)
+        lineno = text.splitlines().index("scale.n_bootstrap = -5") + 1
+        assert main(["scale", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert (f"{cfg}:{lineno}: bad value for scale.n_bootstrap: "
+                "a resample count must be >= 0, got -5") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_four_curves_exit_two_before_any_fit(self, tmp_path, capsys):
+        four = SYNTH_FAMILY.replace("0.01, 0.02, 0.03, 0.04, 0.07, 0.09, 0.12",
+                                    "0.01, 0.03, 0.07, 0.09")
+        cmd_synth(RunConfig.parse(four), tmp_path / "four")
+        cfg = write_cfg(tmp_path, four + SCALE_KEYS.format(input_dir=tmp_path / "four"))
+        assert main(["scale", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "the xi fit needs >= 5 curves at distinct p, found 4" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
         # every p on the delocalized side: the anchor trajectory never
         # plateaus, so normalization fails after a clean collapse
         one_sided = SYNTH_FAMILY.replace(
             "synth.p_list = 0.01, 0.02, 0.03, 0.04, 0.07, 0.09, 0.12",
-            "synth.p_list = 0.01, 0.02, 0.03, 0.04")
+            "synth.p_list = 0.01, 0.015, 0.02, 0.03, 0.04")
         sim_dir = tmp_path / "below"
         cmd_synth(RunConfig.parse(one_sided), sim_dir)
         cfg = write_cfg(tmp_path, one_sided + f"scale.input_dir = {sim_dir}\n"

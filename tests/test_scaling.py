@@ -708,6 +708,39 @@ class TestBootstrapXiFit:
             fit_xi_branch_gauged(xi)
 
 
+class TestOnePolishPerGap:
+    """The xi fit polishes one start per gap of the p grid, and a
+    bootstrap resample is one polish from the base fit."""
+
+    @pytest.fixture
+    def polishes(self, monkeypatch):
+        import scipy.optimize
+        real, calls = scipy.optimize.least_squares, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+        return calls
+
+    @pytest.mark.parametrize("fitter, grid, n_gaps", [
+        (fit_xi_branch_gauged, [0.009, 0.014, 0.02, 0.048, 0.075], 2),
+        (fit_xi_branch_gauged, [0.005, 0.009, 0.014, 0.02, 0.033, 0.048, 0.06, 0.075, 0.09,
+                                0.108], 7),
+        (fit_xi, P_LIST, 8)], ids=["gauged-bench-grid", "gauged-script-grid", "plain"])
+    def test_fit(self, polishes, fitter, grid, n_gaps):
+        fitter({p: planted_xi(p) for p in grid})
+        assert len(polishes) == n_gaps
+
+    def test_bootstrap_resample(self, polishes):
+        xi = TestXiFit().xi_map(noise_seed=7, level=0.02)
+        base = fit_xi_branch_gauged(xi)
+        polishes.clear()
+        assert bootstrap_fit_xi(xi, base, n_resamples=12, seed=1)["n_effective"] == 12
+        assert len(polishes) == 12
+
+
 class TestSynthTrajectories:
     def test_critical_curve_is_pure_power_law(self):
         # below t ~ 1.2 the K >= 1 floor bends the critical curve; fit past it
@@ -827,7 +860,7 @@ class TestFullAnalysis:
 
     def test_too_few_curves_rejected(self):
         trajs = synth_trajectories([0.01, 0.06], t_grid=T_GRID, **PLANTED)
-        with pytest.raises(InsufficientDataError, match="3 distinct"):
+        with pytest.raises(InsufficientDataError, match="5 distinct"):
             full_scaling_analysis(trajs, anchor_p=0.06)
 
     def test_unknown_anchor_rejected(self):
