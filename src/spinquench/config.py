@@ -8,6 +8,9 @@ compare and digest equal, whatever their layout or comments).
 The digest over that form, minus the path keys (output.dir,
 scale.input_dir, plot.*), identifies a run for resume checks and is
 stamped into every file the run produces.
+
+The records the builders return own their defaults and rules: a builder
+passes only the keys a config sets and wraps record errors as ConfigError.
 """
 
 from __future__ import annotations
@@ -107,7 +110,6 @@ SCHEMA = {
     "seeds": _parse_seed_list,
     "estimator.kind": str,
     "estimator.n_samples": int,
-    "estimator.base_seed": _parse_seed,
     "estimator.keep_spectra": _parse_bool,
     "synth.p_list": _parse_p_list,
     "synth.p_c": float,
@@ -193,6 +195,10 @@ class RunConfig:
             raise ConfigError(f"missing required config keys: {', '.join(missing)}")
         return [self.get(k) for k in keys]
 
+    def _given(self, **keys) -> dict:
+        """{name: value} of each name=key this config sets; callees default the rest."""
+        return {name: self.get(key) for name, key in keys.items() if key in self}
+
     # -- domain builders -------------------------------------------------
     @property
     def label(self) -> str:
@@ -209,33 +215,17 @@ class RunConfig:
 
     def build_geometry(self):
         (kind,) = self.require("geometry.kind")
-        params = {}
+        params = self._given(field_axis="geometry.field_axis")
         if kind == "cubic_lattice":
-            (shape,) = self.require("geometry.shape")
-            if len(shape) != 3:
-                raise ConfigError(f"geometry.shape needs 3 extents, got {shape}")
-            params["shape"] = tuple(shape)
-            params["spacing"] = self.get("geometry.spacing", 1.0)
+            (params["shape"],) = self.require("geometry.shape")
+            params.update(self._given(spacing="geometry.spacing"))
         elif kind == "random_box":
-            n, box, sep = self.require("geometry.n", "geometry.box",
-                                       "geometry.min_separation")
-            params["n"] = n
-            params["box"] = box[0] if len(box) == 1 else tuple(box)
-            params["min_separation"] = sep
+            params["n"], params["box"], params["min_separation"] = self.require(
+                "geometry.n", "geometry.box", "geometry.min_separation")
         elif kind == "file":
             (params["path"],) = self.require("geometry.path")
-        else:
-            raise ConfigError(f"geometry.kind must be cubic_lattice, random_box or file, "
-                              f"got {kind!r}")
-        if "geometry.field_axis" in self:
-            axis = self.get("geometry.field_axis")
-            if len(axis) != 3:
-                raise ConfigError("geometry.field_axis needs exactly 3 components")
-            params["field_axis"] = tuple(axis)
         try:
-            return generate_geometry(kind, params, seed=self.get("geometry.seed", 0))
-        except ConfigError:
-            raise
+            return generate_geometry(kind, params, **self._given(seed="geometry.seed"))
         except GeometryError as exc:
             raise ConfigError(f"invalid geometry: {exc}") from None
 
@@ -245,8 +235,6 @@ class RunConfig:
     def build_protocol(self, p: float) -> QuenchProtocol:
         mode = self.get("protocol.mode", "average")
         (grid,) = self.require("protocol.time_grid")
-        if mode not in ("average", "floquet"):
-            raise ConfigError(f"protocol.mode must be average or floquet, got {mode!r}")
         tau_c = self.require("protocol.tau_c")[0] if mode == "floquet" else 0.0
         try:
             return QuenchProtocol(mode, p, grid, tau_c)
@@ -254,15 +242,11 @@ class RunConfig:
             raise ConfigError(f"invalid protocol: {exc}") from None
 
     def estimator_config(self, seed: int = 0) -> EstimatorConfig:
-        kind = self.get("estimator.kind", "exact")
-        if kind not in ("exact", "typicality"):
-            raise ConfigError(f"estimator.kind must be exact or typicality, got {kind!r}")
-        # replica seeds space out the per-sample seed blocks
-        base = self.get("estimator.base_seed", 0) + 100003 * seed
+        # replica seed s draws its samples from the seed block at 100003 s
         try:
-            return EstimatorConfig(kind=kind, n_samples=self.get("estimator.n_samples", 8),
-                                   base_seed=base,
-                                   keep_spectra=self.get("estimator.keep_spectra", False))
+            return EstimatorConfig(base_seed=100003 * seed, **self._given(
+                kind="estimator.kind", n_samples="estimator.n_samples",
+                keep_spectra="estimator.keep_spectra"))
         except ValueError as exc:
             raise ConfigError(f"invalid estimator config: {exc}") from None
 
@@ -270,9 +254,7 @@ class RunConfig:
         p_list, p_c, nu, s, alpha, grid = self.require(
             "synth.p_list", "synth.p_c", "synth.nu", "synth.s", "synth.alpha",
             "synth.time_grid")
-        return {
-            "p_list": p_list, "p_c": p_c, "nu": nu, "s": s, "alpha": alpha,
-            "t_grid": grid, "noise_level": self.get("synth.noise_level", 0.0),
-            "seed": self.get("synth.seed", 0),
-            "A": self.get("synth.A", 1.0), "B": self.get("synth.B", 0.0),
-        }
+        return {"p_list": p_list, "p_c": p_c, "nu": nu, "s": s, "alpha": alpha,
+                "t_grid": grid, "noise_level": self.get("synth.noise_level", 0.0),
+                "seed": self.get("synth.seed", 0),
+                "A": self.get("synth.A", 1.0), "B": self.get("synth.B", 0.0)}

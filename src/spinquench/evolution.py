@@ -60,7 +60,7 @@ class QuenchProtocol:
 
     def __post_init__(self):
         if self.mode not in ("average", "floquet"):
-            raise ValueError(f"mode must be 'average' or 'floquet', got {self.mode!r}")
+            raise ValueError(f"protocol mode must be 'average' or 'floquet', got {self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         grid = np.asarray(self.time_grid, dtype=np.float64)

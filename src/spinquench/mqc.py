@@ -25,6 +25,7 @@ and is not monotone there.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -107,10 +108,15 @@ class ClusterTrajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
+                or not math.isfinite(self.p)):
+            raise ValueError(f"p must be a finite real number, got {self.p!r}")
         t = np.asarray(self.times, dtype=float)
         k = np.asarray(self.K, dtype=float)
         if t.shape != k.shape or t.ndim != 1:
             raise ValueError("times and K must be matching 1D arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(k))):
+            raise ValueError("times and K must be finite")
         if np.any(k < 1.0 - 1e-9):
             raise ValueError("cluster sizes must be >= 1")
         n_spins = self.metadata.get("n_spins")

@@ -13,6 +13,7 @@ the evolution module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,10 @@ class SpinGeometry:
         bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
         if bad.size:
             raise GeometryError(f"positions must be finite, spin {bad[0]} is at {pos[bad[0]].tolist()}")
-        axis = np.asarray(self.field_axis, dtype=float).reshape(3)
+        axis = np.asarray(self.field_axis, dtype=float)
+        if axis.size != 3:
+            raise GeometryError(f"field_axis needs exactly 3 components, got {axis.tolist()}")
+        axis = axis.reshape(3)
         if not np.all(np.isfinite(axis)):
             raise GeometryError(f"field_axis must be finite, got {axis.tolist()}")
         norm = np.linalg.norm(axis)
@@ -137,14 +141,16 @@ def cubic_lattice_geometry(
     seed: int = 0,
 ) -> SpinGeometry:
     """Simple cubic lattice of shape (n_x, n_y, n_z) with the given spacing."""
+    if len(shape) != 3:
+        raise GeometryError(f"lattice shape needs 3 extents, got {shape}")
     nx, ny, nz = (int(v) for v in shape)
     if min(nx, ny, nz) < 1:
         raise GeometryError(f"lattice shape must be positive, got {shape}")
     n = nx * ny * nz
     if n > MAX_SPINS:
         raise GeometryError(f"lattice with {n} spins exceeds the cap of {MAX_SPINS}")
-    if spacing <= 0:
-        raise GeometryError("lattice spacing must be > 0")
+    if not 0 < spacing < math.inf:
+        raise GeometryError(f"lattice spacing must be finite and > 0, got {spacing}")
     grid = np.mgrid[0:nx, 0:ny, 0:nz].reshape(3, -1).T * float(spacing)
     return SpinGeometry(grid, np.asarray(field_axis, float), f"cubic_{nx}x{ny}x{nz}", seed)
 
@@ -166,9 +172,12 @@ def random_box_geometry(
         raise GeometryError(f"n must be in [1, {MAX_SPINS}], got {n}")
     if min_separation <= 0:
         raise GeometryError("min_separation must be > 0")
-    lengths = np.broadcast_to(np.asarray(box, dtype=float), (3,))
-    if np.any(lengths <= 0):
-        raise GeometryError(f"box lengths must be > 0, got {box}")
+    lengths = np.asarray(box, dtype=float).ravel()
+    if lengths.size not in (1, 3):
+        raise GeometryError(f"box needs 1 or 3 lengths, got {lengths.tolist()}")
+    if not np.all((lengths > 0) & (lengths < math.inf)):
+        raise GeometryError(f"box lengths must be finite and > 0, got {lengths.tolist()}")
+    lengths = np.broadcast_to(lengths, (3,))
     rng = np.random.default_rng(seed)
     placed = np.empty((0, 3))
     attempts = 0
@@ -230,4 +239,5 @@ def generate_geometry(kind: str, params: dict, seed: int = 0) -> SpinGeometry:
         return random_box_geometry(seed=seed, **params)
     if kind == "file":
         return load_geometry_file(**params)
-    raise GeometryError(f"unknown geometry kind {kind!r}")
+    raise GeometryError(f"unknown geometry kind {kind!r}: geometry kind must be "
+                        "cubic_lattice, random_box or file")

@@ -26,8 +26,8 @@ from .errors import CapacityError, ConfigError
 from .evolution import exact_peak_bytes
 from .mqc import ClusterTrajectory, trajectory, typicality_peak_bytes
 from .operators import workspace_bytes
-from .scaling import (XI_FIT_MIN_P, fit_growth_exponent, full_scaling_analysis, rescale,
-                      synth_trajectories)
+from .scaling import (XI_FIT_MIN_P, fit_growth_exponent, full_scaling_analysis,
+                      matches_anchor, rescale, synth_trajectories)
 
 WORKERS_ENV = "SPINQUENCH_WORKERS"
 
@@ -189,14 +189,12 @@ def cmd_scale(config: RunConfig, out_dir) -> dict:
         raise ConfigError(f"the xi fit needs >= {XI_FIT_MIN_P} curves at distinct p, "
                           f"found {len(combined)} (p={[tr.p for tr in combined]})")
     anchor_p = config.get("scale.anchor_p", max(tr.p for tr in combined))
-    if not any(math.isclose(tr.p, anchor_p, rel_tol=1e-9, abs_tol=1e-9) for tr in combined):
+    if not any(matches_anchor(tr.p, anchor_p) for tr in combined):
         raise ConfigError(f"scale.anchor_p = {anchor_p} is not among the input p values "
                           f"{[tr.p for tr in combined]}")
-    result = full_scaling_analysis(
-        combined, anchor_p=anchor_p, beta_grid=config.get("scale.beta_grid"),
-        t_min=config.get("scale.t_min"), growth_t_min=config.get("scale.growth_t_min"),
-        n_bootstrap=config.get("scale.n_bootstrap", 100),
-        bootstrap_seed=config.get("scale.bootstrap_seed", 0))
+    result = full_scaling_analysis(combined, anchor_p=anchor_p, **config._given(
+        beta_grid="scale.beta_grid", t_min="scale.t_min", growth_t_min="scale.growth_t_min",
+        n_bootstrap="scale.n_bootstrap", bootstrap_seed="scale.bootstrap_seed"))
     growth, scan, fit = result.growth, result.scan, result.fit
 
     report = {

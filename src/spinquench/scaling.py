@@ -170,7 +170,8 @@ class CollapseResult:
 class XiFit:
     """Bounded least-squares fit of xi(p) = (A |p - p_c|^nu + B)^(-1).
 
-    gap is the pair of sampled p that bounds p_c; gamma (None when not
+    gap is the pair of sampled p that bounds p_c; n_free counts the
+    parameters the fit leaves off their bounds; gamma (None when not
     gauged) multiplies the factors below the gap and is left out of model.
     """
 
@@ -181,6 +182,7 @@ class XiFit:
     std_err: dict
     residual: float
     gap: tuple
+    n_free: int
     gamma: float | None = None
 
     def model(self, p) -> np.ndarray:
@@ -414,11 +416,16 @@ def estimate_k_loc(traj: ClusterTrajectory) -> float:
     return float(K[-w:].mean())
 
 
+def matches_anchor(p: float, anchor_p: float) -> bool:
+    """Whether the sampled p is anchor_p up to rounding, 1e-9 max(1, |anchor_p|)."""
+    return abs(p - anchor_p) <= 1e-9 * max(1.0, abs(anchor_p))
+
+
 def normalize_xi(xi_raw: dict, anchor_p: float, k_loc: float) -> dict:
     """Rescale all raw factors so xi(anchor_p) = k_loc^(1/3)."""
     if k_loc <= 0:
         raise ValueError("k_loc must be positive")
-    key = next((p for p in xi_raw if abs(p - anchor_p) <= 1e-9 * max(1.0, abs(anchor_p))), None)
+    key = next((p for p in xi_raw if matches_anchor(p, anchor_p)), None)
     if key is None:
         raise ValueError(f"anchor p={anchor_p} not among collapsed curves {sorted(xi_raw)}")
     factor = k_loc ** (1.0 / 3.0) / xi_raw[key]
@@ -530,6 +537,7 @@ def _fit_gaps(xi: dict, gaps, gauged: bool) -> XiFit:
                  std_err=dict(zip(_XI_PARAMS, se[:4].tolist())),
                  residual=float(np.sqrt(2.0 * best.cost / ps.size)),
                  gap=(float(ps[best_k - 1]), float(ps[best_k])),
+                 n_free=int(np.count_nonzero(best.active_mask == 0)),
                  gamma=float(np.exp(best.x[4])) if gauged else None)
 
 
@@ -568,7 +576,9 @@ def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 
     included, times log residuals drawn with replacement, polished once in
     base's gap from base's parameters (_polish).  Returns the number of
     resamples whose polish converged (n_effective) plus std and central
-    95% interval per parameter over those.
+    95% interval per parameter over those.  A base fit with as many free
+    parameters as points interpolates, so every resample would reproduce
+    the data: none is drawn, n_effective is 0 and the statistics are NaN.
     """
     ps = np.array(sorted(xi))
     k = int(np.searchsorted(ps, base.gap[1]))
@@ -580,7 +590,7 @@ def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 
     log_res = np.log([xi[p] for p in ps]) - log_fitted
     rng = np.random.default_rng(seed)
     fits = []
-    for _ in range(n_resamples):
+    for _ in range(n_resamples if ps.size > base.n_free else 0):
         res = _polish(start, ps, log_fitted + rng.choice(log_res, size=ps.size, replace=True), k)
         if res is not None:
             fits.append(res.x[:4])
@@ -648,6 +658,12 @@ def synth_trajectories(p_list, p_c: float, nu: float, s: float, alpha: float, t_
     used.  Multiplicative log-normal noise of the given level is applied,
     and K is clipped at 1.
     """
+    planted = {"p_c": p_c, "nu": nu, "s": s, "alpha": alpha, "A": A, "B": B}
+    bad = next((k for k, v in planted.items() if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"planted {bad} must be finite, got {planted[bad]}")
+    if not 0.0 <= noise_level < math.inf:
+        raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     if nu <= 0 or alpha <= 0:
         raise ValueError("nu and alpha must be positive")
     if A < 0 or B < 0 or A + B == 0:
@@ -655,8 +671,8 @@ def synth_trajectories(p_list, p_c: float, nu: float, s: float, alpha: float, t_
     beta = s / nu
     k1, k2p = scaling_exponents(alpha, beta)
     t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("synthetic time grid must be positive")
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise ValueError("synthetic time grid must be finite and positive")
     rng = np.random.default_rng(seed)
     out = []
     for p in p_list:
@@ -670,8 +686,7 @@ def synth_trajectories(p_list, p_c: float, nu: float, s: float, alpha: float, t_
             log_k = log_k + noise_level * rng.standard_normal(t.size)
         K = np.maximum(np.exp(log_k), 1.0)
         meta = {"geometry": "synthetic", "seed": seed, "estimator": "synthetic",
-                "planted": {"p_c": p_c, "nu": nu, "s": s, "alpha": alpha, "A": A, "B": B,
-                            "noise_level": noise_level}, "p": float(p)}
+                "planted": {**planted, "noise_level": noise_level}, "p": float(p)}
         out.append(ClusterTrajectory(p=float(p), times=t.copy(), K=K, metadata=meta))
     return out
 
@@ -697,7 +712,7 @@ def full_scaling_analysis(trajs: list[ClusterTrajectory], anchor_p: float,
     growth = fit_growth_exponent(trajs[0], t_min=growth_t_min)
     eff_t_min = growth.t_min if t_min is None else t_min
     scan = beta_scan(trajs, growth, beta_grid, eff_t_min)
-    anchor_traj = next((tr for tr in trajs if abs(tr.p - anchor_p) <= 1e-9 * max(1.0, abs(anchor_p))), None)
+    anchor_traj = next((tr for tr in trajs if matches_anchor(tr.p, anchor_p)), None)
     if anchor_traj is None:
         raise ValueError(f"anchor p={anchor_p} has no trajectory (have {[tr.p for tr in trajs]})")
     k_loc = estimate_k_loc(anchor_traj)

@@ -246,9 +246,9 @@ class TestDomainBuilders:
         assert (est.kind, est.n_samples, est.base_seed) == ("exact", 8, 0)
 
     def test_replica_seed_blocks_disjoint(self):
-        cfg = RunConfig.parse("estimator.base_seed = 5\nestimator.n_samples = 4\n")
-        assert cfg.estimator_config(seed=0).base_seed == 5
-        assert cfg.estimator_config(seed=2).base_seed == 5 + 2 * 100003
+        cfg = RunConfig.parse("estimator.n_samples = 4\n")
+        assert cfg.estimator_config(seed=0).base_seed == 0
+        assert cfg.estimator_config(seed=2).base_seed == 2 * 100003
 
     def test_bad_estimator_kind(self):
         with pytest.raises(ConfigError, match="estimator.kind must be"):

@@ -271,6 +271,17 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="matching"):
             ClusterTrajectory(p=0.0, times=np.array([1.0, 2.0]), K=np.array([1.0]))
 
+    @pytest.mark.parametrize("p, times, K, message", [
+        ("abc", [1.0], [1.0], "finite real number"), ([1], [1.0], [1.0], "finite real number"),
+        (True, [1.0], [1.0], "finite real number"), (np.nan, [1.0], [1.0], "finite real number"),
+        (0.1, [np.nan], [1.0], "times and K must be finite"),
+        (0.1, [1.0], [np.nan], "times and K must be finite"),
+        (0.1, [1.0], [np.inf], "times and K must be finite")],
+        ids=["p=abc", "p=[1]", "p=True", "p=nan", "time=nan", "K=nan", "K=inf"])
+    def test_trajectory_needs_finite_real_values(self, p, times, K, message):
+        with pytest.raises(ValueError, match=message):
+            ClusterTrajectory(p=p, times=np.array(times), K=np.array(K))
+
     def test_estimator_config_validation(self):
         with pytest.raises(ValueError, match="kind"):
             EstimatorConfig(kind="montecarlo")

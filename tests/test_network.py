@@ -134,6 +134,20 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError, match="unit norm"):
             SpinGeometry(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([0.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cubic_lattice_geometry((2, 2)), "3 extents"),
+        (lambda: SpinGeometry(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), field_axis=(0.0, 1.0)),
+         "3 components"),
+        (lambda: random_box_geometry(4, (1.0, 2.0), 0.1, 0), "1 or 3 lengths"),
+        (lambda: cubic_lattice_geometry((2, 2, 1), spacing=np.inf), "spacing must be finite"),
+        (lambda: random_box_geometry(4, np.inf, 0.1, 0), "box lengths must be finite"),
+        (lambda: random_box_geometry(4, (1.0, np.nan, 1.0), 0.1, 0), "box lengths must be finite"),
+    ], ids=["lattice-extents", "field-axis-length", "box-lengths", "inf-spacing", "inf-box",
+            "nan-box"])
+    def test_malformed_generator_arguments_rejected(self, build, message):
+        with pytest.raises(GeometryError, match=message):
+            build()
+
     def test_asymmetric_coupling_matrix_rejected(self):
         geo = cubic_lattice_geometry((2, 1, 1))
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])

@@ -82,6 +82,13 @@ def with_order_columns(text, names, values):
     return head + f"time,K,{names}\n" + "".join(f"{row},{values}\n" for row in rows.splitlines())
 
 
+def with_nan_first_k(text):
+    """A trajectory file's text with K = nan in its first data row."""
+    head, _, rows = text.partition("time,K\n")
+    first, _, rest = rows.partition("\n")
+    return f"{head}time,K\n{first.split(',')[0]},nan\n{rest}"
+
+
 def count_tags(svg_text, local_name):
     root = ET.fromstring(svg_text)
     return sum(1 for el in root.iter() if el.tag.rsplit("}", 1)[-1] == local_name)
@@ -612,7 +619,7 @@ class TestCliExitCodes:
         pytest.param(key, value, id=key) for key, value in [
             ("numerics.krylov_dim", "30"), ("numerics.max_dense_spins", "4"),
             ("numerics.tol", "1e-12"), ("estimator.k_method", "gaussian"),
-            ("geometry.cutoff_radius", "1.5")]])
+            ("geometry.cutoff_radius", "1.5"), ("estimator.base_seed", "-1")]])
     def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, SIM_SMALL + f"{key} = {value}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -688,9 +695,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("command, key, value", [
         pytest.param(command, key, value, id=key) for command, key, value in [
-            ("simulate", "seeds", "0, -2"), ("simulate", "estimator.base_seed", "-1"),
-            ("simulate", "geometry.seed", "-1"), ("synth", "synth.seed", "-1"),
-            ("scale", "scale.bootstrap_seed", "-1")]])
+            ("simulate", "seeds", "0, -2"), ("simulate", "geometry.seed", "-1"),
+            ("synth", "synth.seed", "-1"), ("scale", "scale.bootstrap_seed", "-1")]])
     def test_negative_seed_exits_two(self, tmp_path, capsys, command, key, value):
         base = SIM_SMALL if command == "simulate" else SYNTH_FAMILY
         text = "".join(line + "\n" for line in base.splitlines()
@@ -747,6 +753,50 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "positions must be finite, spin 1 is at [nan, 0.0, 0.0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, edit, message", [
+        pytest.param("simulate", {"geometry.box": box}, message, id=f"box={box}")
+        for box, message in [("1, 2", "box needs 1 or 3 lengths, got [1.0, 2.0]"),
+                             ("1e400", "box lengths must be finite and > 0, got [inf]"),
+                             ("nan", "box lengths must be finite and > 0, got [nan]")]
+    ] + [
+        pytest.param("simulate", {"geometry.spacing": "1e400"},
+                     "lattice spacing must be finite and > 0, got inf", id="spacing=1e400"),
+        pytest.param("scale", lambda text: text.replace("# p=0.0\n", '# p="abc"\n'),
+                     "p must be a finite real number, got 'abc'", id="p=abc"),
+        pytest.param("scale", lambda text: text.replace("# p=0.0\n", "# p=[1]\n"),
+                     "p must be a finite real number, got [1]", id="p=[1]"),
+        pytest.param("scale", with_nan_first_k, "times and K must be finite", id="K=nan"),
+        pytest.param("synth", {"synth.noise_level": "-1"},
+                     "noise_level must be finite and >= 0, got -1.0", id="noise_level=-1"),
+        pytest.param("synth", {"synth.noise_level": "nan"},
+                     "noise_level must be finite and >= 0, got nan", id="noise_level=nan"),
+        pytest.param("synth", {"synth.p_c": "nan"}, "planted p_c must be finite, got nan",
+                     id="p_c=nan"),
+        pytest.param("synth", {"synth.time_grid": "1, nan, 3"},
+                     "synthetic time grid must be finite and positive", id="time_grid=nan")])
+    def test_unchecked_input_exits_two(self, tmp_path, capsys, command, edit, message):
+        """Values that parse but that a record rejects exit 2 with the
+        record's message: no traceback, NaN output or dropped noise."""
+        if command == "scale":
+            runs = tmp_path / "runs"
+            cmd_simulate(RunConfig.parse(SIM_SMALL), runs)
+            victim = runs / "traj_p0.000000_seed0.csv"
+            victim.write_text(edit(victim.read_text(encoding="utf-8")), encoding="utf-8")
+            text = f"scale.input_dir = {runs}\n"
+        else:
+            if "geometry.box" in edit:
+                edit = {"geometry.kind": "random_box", "geometry.n": "4",
+                        "geometry.min_separation": "0.5", **edit}
+            base = SIM_SMALL if command == "simulate" else SYNTH_FAMILY
+            text = "".join(line + "\n" for line in base.splitlines()
+                           if line.partition(" =")[0] not in edit)
+            text += "".join(f"{k} = {v}\n" for k, v in edit.items())
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
 
     def test_bad_workers_env_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINQUENCH_WORKERS", "many")

@@ -741,6 +741,44 @@ class TestOnePolishPerGap:
         assert len(polishes) == 12
 
 
+class TestBootstrapNeedsAResidual:
+    """On the benchmark's 5-point grid the gauged xi fit has 5 parameters
+    for 5 points.  At noise seed 0 all stay off their bounds and the fit
+    interpolates, so a resample would reproduce the data; at seed 7 B sits
+    on its bound and one residual is left to resample."""
+
+    @staticmethod
+    def analyse(noise_seed):
+        trajs = synth_trajectories([0.009, 0.014, 0.02, 0.048, 0.075], p_c=0.0266, nu=0.42,
+                                   s=0.42, alpha=2.87, A=0.58, B=0.05, t_grid=T_GRID,
+                                   noise_level=0.01, seed=noise_seed)
+        return full_scaling_analysis(trajs, anchor_p=0.075, beta_grid=(5.7, 1.0, 0.15),
+                                     t_min=2.0, growth_t_min=40.0, n_bootstrap=20,
+                                     bootstrap_seed=3)
+
+    def test_interpolating_fit_draws_no_resample(self):
+        result = self.analyse(0)
+        assert result.fit.n_free == 5
+        assert result.bootstrap["n_effective"] == 0
+        assert all(math.isnan(v) for name in ("A", "B", "nu", "p_c")
+                   for v in result.bootstrap[name].values())
+
+    def test_fit_with_a_residual_resamples(self):
+        result = self.analyse(7)
+        assert result.fit.n_free == 4
+        # one residual is left, so every resample is drawn: the block, pinned bitwise
+        assert result.bootstrap == {
+            "n_effective": 20,
+            "A": {"std": 0.007977588700197217, "ci_low": 0.5274385828341955,
+                  "ci_high": 0.5529132817273479},
+            "B": {"std": 0.011105221411489159, "ci_low": 4.51989170875715e-32,
+                  "ci_high": 0.03229824333523864},
+            "nu": {"std": 0.023436066966257076, "ci_low": 0.2945052626492571,
+                   "ci_high": 0.3649242539623447},
+            "p_c": {"std": 0.0002160124498106264, "ci_low": 0.027176248883596005,
+                    "ci_high": 0.02782805726414331}}
+
+
 class TestSynthTrajectories:
     def test_critical_curve_is_pure_power_law(self):
         # below t ~ 1.2 the K >= 1 floor bends the critical curve; fit past it
@@ -792,6 +830,16 @@ class TestSynthTrajectories:
                                t_grid=[1.0, 2.0], A=0.0, B=0.0)
         with pytest.raises(ValueError, match="time grid"):
             synth_trajectories([0.1], p_c=0.05, nu=0.4, s=0.4, alpha=2.0, t_grid=[0.0, 1.0])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"p_c": np.nan}, "planted p_c must be finite"), ({"nu": np.inf}, "planted nu"),
+        ({"A": np.nan}, "planted A"), ({"noise_level": -1.0}, "noise_level"),
+        ({"noise_level": np.nan}, "noise_level"), ({"t_grid": [1.0, np.inf]}, "time grid")],
+        ids=["p_c=nan", "nu=inf", "A=nan", "noise=-1", "noise=nan", "t=inf"])
+    def test_non_finite_parameters_rejected(self, change, message):
+        args = {"p_c": 0.05, "nu": 0.4, "s": 0.4, "alpha": 2.0, "t_grid": [1.0, 2.0], **change}
+        with pytest.raises(ValueError, match=message):
+            synth_trajectories([0.1], **args)
 
 
 class TestFullAnalysis:
