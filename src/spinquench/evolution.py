@@ -21,7 +21,11 @@ leave invariant: the two popcount-parity blocks, which H(p) never mixes
 (so odd orders vanish identically), and for even n their flip-even and
 flip-odd halves of dimension 2^(n-2).  For odd n, F swaps the parity
 blocks and only the even one is evolved.  Each block is diagonalized
-densely, which caps the path at 14 spins (four blocks of 4096).
+densely, which caps the path at 14 spins (four blocks of 4096).  The
+products at each grid time or cycle step are written into buffers
+allocated once per block, and the weights are summed a panel of rows at
+a time, so a block holds 5-8 real d x d arrays at its peak
+(exact_peak_bytes).
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .network import CouplingNetwork
 from .operators import SpinBasis, _apply_mixed_array, _mixed_rows, dense_hamiltonian, workspace_for
 
 MAX_DENSE_SPINS = 14
+#: rows per panel of the exact path's weight sums: 256 KiB of each
+#: temporary at n = 12, 1 MiB at n = 14
+PANEL_ROWS = 32
 #: relative accuracy of every exponential: the Chebyshev sum is cut where
 #: its dropped coefficients add up to TOL / 100, and a column norm that
 #: moves by more than TOL raises NumericalError
@@ -314,8 +321,15 @@ class _Block:
         minus[cross.row, cross.col] -= cross.data
         return [h, minus]
 
-    def _sector_sums(self, sq: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(np.add.reduceat(sq, self.cuts, axis=0), self.cuts, axis=1).ravel()
+    def _panel_squares(self, xr: np.ndarray, xi: np.ndarray, panel: slice) -> tuple:
+        """Squared magnitudes on the rows of panel: of X for odd n; of
+        2 rho[s, s'] and 2 rho[s, F s'] for even n (see weights)."""
+        if not self.flip:
+            return (xr[panel] ** 2 + xi[panel] ** 2,)
+        # copied, so the sums below read contiguous rows rather than columns
+        xr_t, xi_t = xr[:, panel].T.copy(), xi[:, panel].T.copy()
+        return ((xr[panel] + xr_t) ** 2 + (xi[panel] - xi_t) ** 2,
+                (xr[panel] - xr_t) ** 2 + (xi[panel] + xi_t) ** 2)
 
     def weights(self, xr: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Order weights sum |rho_rc|^2 of this block and its flip image.
@@ -325,14 +339,20 @@ class _Block:
         <+|rho|->, the only nonzero block in the +- basis, and
         rho[s, s'] = (X + X^dag)/2, rho[s, F s'] = (X^dag - X)/2,
         rho[F s, F s'] = -rho[s, s'], rho[F s, s'] = -rho[s, F s'].
+        The sums of squares are taken PANEL_ROWS rows at a time and summed
+        over the column sectors, so no temporary spans the block.
         """
-        k = self.n_weights
+        k, cuts, d = self.n_weights, self.cuts, xr.shape[0]
+        rows = np.empty((1 + self.flip, d, cuts.size))
+        for r in range(0, d, PANEL_ROWS):
+            panel = slice(r, r + PANEL_ROWS)
+            for i, sq in enumerate(self._panel_squares(xr, xi, panel)):
+                rows[i, panel] = np.add.reduceat(sq, cuts, axis=1)
+        sums = np.add.reduceat(rows, cuts, axis=1).reshape(rows.shape[0], -1)
         if not self.flip:
-            w = np.bincount(self.same, self._sector_sums(xr * xr + xi * xi), k)
+            w = np.bincount(self.same, sums[0], k)
         else:
-            same = self._sector_sums((xr + xr.T) ** 2 + (xi - xi.T) ** 2)
-            cross = self._sector_sums((xr - xr.T) ** 2 + (xi + xi.T) ** 2)
-            w = 0.25 * (np.bincount(self.same, same, k) + np.bincount(self.cross, cross, k))
+            w = 0.25 * (np.bincount(self.same, sums[0], k) + np.bincount(self.cross, sums[1], k))
         return w + w[::-1]
 
 
@@ -349,61 +369,87 @@ def exact_peak_bytes(n_spins: int, mode: str) -> int:
     """Peak bytes evolve_density_exact allocates beyond the workspace: real
     d x d arrays of the one block alive at a time, d = 2^(n-2) for even n
     (two parity blocks of +- halves), 2^(n-1) for odd n (one block), plus
-    48 MiB for BLAS buffers and freed arrays the allocator keeps (6-32 MiB
-    at n = 10-14).
-      average, even: 9 at a grid time = V+, V- and W 3, the complex phases
-        2, Re X and Im X 2, weight temporaries 2; the set-up stays below
-      average, odd: 8 = V and W 2, phases 2, X 2, temporaries 2
-      floquet, even: 10 in the set-up's unitary(H0+) = exp(-i tau_dd H1+)
-        2, H0+, H0- and H1- 3, V 1, V times the cosines or sines 1, their
-        real product with V^T 1, the unitary 2; the - half's set-up and a
-        cycle step (u+, u-^dag, X, u+ X, the new X) reach the same 10
-      floquet, odd: 10 = u and u^dag 4, X 2, u X and the new X 4; the set-up stays below
+    48 MiB for BLAS buffers, the weight sums' row panels and freed arrays
+    the allocator keeps (6-32 MiB at n = 10-14).
+      average, even: 6 at a grid time = V+, V- and W 3, the three buffers
+        of the products 3; the set-up (H+, H- and V+) stays below
+      average, odd: 5 = V and W 2, the buffers 3
+      floquet, even: 8 at a cycle step = u+, u-^dag, X and u+ X, complex;
+        the set-up reaches the same 8 in the product of the - half: u+ 2,
+        V0- and V1- 2, V1-^T V0- 1, the buffers 3
+      floquet, odd: 8 = u and u^dag, X and u X; the set-up stays below
     Raises CapacityError past MAX_DENSE_SPINS, before any allocation."""
     if n_spins > MAX_DENSE_SPINS:
         raise CapacityError(f"exact estimator capped at {MAX_DENSE_SPINS} spins, geometry has "
                             f"{n_spins}; use the typicality estimator")
     d = 1 << (n_spins - 2 + n_spins % 2)
-    arrays = 10 if mode == "floquet" else (9, 8)[n_spins % 2]
+    arrays = 8 if mode == "floquet" else (6, 5)[n_spins % 2]
     return 8 * d * d * arrays + 48 * 2**20
+
+
+def _eighs(hs: list) -> list:
+    """Eigenpairs of each matrix in hs, each dropped from the list once diagonalized."""
+    return [np.linalg.eigh(hs.pop(0)) for _ in range(len(hs))]
+
+
+def _sandwich(vl: np.ndarray, w: np.ndarray, vr: np.ndarray, bufs) -> tuple:
+    """(Re, Im) of vl (w o exp(i theta)) vr^T, in place: bufs are three
+    d x d buffers (a, b, c), a holds theta on entry, the result is (b, a)
+    and c is scratch."""
+    a, b, c = bufs
+    np.cos(a, out=b)
+    np.sin(a, out=a)
+    for m in (b, a):
+        m *= w
+        np.matmul(vl, m, out=c)
+        np.matmul(c, vr.T, out=m)
+    return b, a
 
 
 def _add_block_weights(network: CouplingNetwork, pr: QuenchProtocol, blk: _Block, w: np.ndarray):
     """Add the order weights of blk at grid point j into w[j], for every j.
 
     Average mode diagonalizes each half once, H+- = V+- E+- V+-^T, and
-    forms X = V+ (Phi+ o W o Phi-^*) V-^T with W = V+^T diag(m) V- and
-    Phi = exp(-i E t).  Floquet mode steps X <- u+ X u-^dag from diag(m)
-    with the one-cycle unitaries u = exp(-i tau_dd H1) exp(-i tau_0 H0) of
-    the two halves (u and u^dag for odd n).
+    forms X = V+ (W o exp(-i (E+ - E-^T) t)) V-^T with W = V+^T diag(m) V-.
+    Floquet mode steps X <- u+ X u-^dag from diag(m) with the one-cycle
+    unitaries u = exp(-i tau_dd H1) exp(-i tau_0 H0) of the two halves (u
+    and u^dag for odd n), each u = V1 (V1^T V0 o exp(-i (E1 tau_dd +
+    E0^T tau_0))) V0^T.  Both products run through three reused buffers.
     """
+    d = blk.states.size
     if pr.mode == "average":
         # (E, V) of the left and right half, the same one for odd n
-        eigs = [np.linalg.eigh(h) for h in blk.hamiltonians(network, pr.p)]
+        eigs = _eighs(blk.hamiltonians(network, pr.p))
         (el, vl), (er, vr) = eigs[0], eigs[-1]
-        wb = vl.T @ (blk.mz[:, None] * vr)
+        # the first buffer holds diag(m) V- until W is formed
+        bufs = (blk.mz[:, None] * vr, np.empty((d, d)), np.empty((d, d)))
+        wb = vl.T @ bufs[0]
         for j, t in enumerate(pr.time_grid):
-            ph = np.outer(np.exp(-1j * el * t), np.exp(1j * er * t))
-            w[j] += blk.weights(vl @ (wb * ph.real) @ vr.T, vl @ (wb * ph.imag) @ vr.T)
+            np.subtract.outer(-t * el, -t * er, out=bufs[0])
+            w[j] += blk.weights(*_sandwich(vl, wb, vr, bufs))
         return
 
-    def unitary(h, tau):
-        # two real products: a complex @ real product would first cast v.T to complex
-        e, v = np.linalg.eigh(h)
-        u = np.empty(v.shape, np.complex128)
-        u.real = (v * np.cos(e * tau)) @ v.T
-        u.imag = (v * -np.sin(e * tau)) @ v.T
-        return u
-
-    h0s, h1s = blk.hamiltonians(network, 0.0), blk.hamiltonians(network, 1.0)
-    # one half at a time, each Hamiltonian dropped once diagonalized
-    us = [unitary(h1s.pop(0), pr.tau_dd) @ unitary(h0s.pop(0), pr.tau_0) for _ in range(len(h0s))]
+    # per half, the eigenpairs of H0 and of H1
+    halves = list(zip(_eighs(blk.hamiltonians(network, 0.0)), _eighs(blk.hamiltonians(network, 1.0))))
+    bufs = tuple(np.empty((d, d)) for _ in range(3))
+    us = []
+    while halves:
+        (e0, v0), (e1, v1) = halves.pop(0)
+        np.add.outer(-pr.tau_dd * e1, -pr.tau_0 * e0, out=bufs[0])
+        re, im = _sandwich(v1, v1.T @ v0, v0, bufs)
+        del v0, v1  # before the unitary is allocated
+        us.append(np.empty((d, d), np.complex128))
+        us[-1].real, us[-1].imag = re, im
+    del bufs, re, im  # before X and its step buffer are allocated
     ul, ur_dag = us[0], us.pop().conj().T  # u- is dropped once its adjoint is formed
-    x = np.diag(blk.mz).astype(np.complex128)
+    x = np.zeros((d, d), np.complex128)
+    np.fill_diagonal(x, blk.mz)
+    tmp = np.empty_like(x)
     done = 0
     for j, count in enumerate(pr.time_grid):
         for _ in range(int(round(count)) - done):
-            x = ul @ x @ ur_dag
+            np.matmul(ul, x, out=tmp)
+            np.matmul(tmp, ur_dag, out=x)
         done = int(round(count))
         w[j] += blk.weights(x.real, x.imag)
 
@@ -418,7 +464,10 @@ def evolve_density_exact(network: CouplingNetwork, protocol: QuenchProtocol):
     Iz |+_s> = m_s |-_s>, so rho(t) = [[0, X], [X^dag, 0]] with
     X = U+ Iz U-^dag.  Each block is evolved over the whole grid before
     the next one starts, so one block's arrays are alive at a time; all
-    the work is done before the first yield.  No 2^n x 2^n array is formed.
+    the work is done before the first yield.  No 2^n x 2^n array is formed,
+    and no d x d one is allocated per grid time: at a grid time a block
+    holds 6 real d x d arrays (5 for odd n, 8 in Floquet mode), the
+    counts exact_peak_bytes states.
     """
     exact_peak_bytes(network.n_spins, protocol.mode)
     w = np.zeros((protocol.time_grid.size, 2 * network.n_spins + 1))

@@ -111,6 +111,8 @@ class ClusterTrajectory:
         if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
                 or not math.isfinite(self.p)):
             raise ValueError(f"p must be a finite real number, got {self.p!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {self.p}")
         t = np.asarray(self.times, dtype=float)
         k = np.asarray(self.K, dtype=float)
         if t.shape != k.shape or t.ndim != 1:

@@ -96,8 +96,8 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     ps, seeds = config.p_sweep, config.seeds
     _one_file_each("p_sweep", ps, lambda p: sqio.trajectory_filename(p, seeds[0]))
     _one_file_each("seeds", seeds, lambda seed: sqio.trajectory_filename(ps[0], seed))
-    out = _ensure_outdir(out_dir)
     network = config.build_network()
+    out = Path(out_dir)
     digest = config.digest()
     # every task is built and listed, and capacity checked, before any is computed
     tasks, skipped = [], []
@@ -120,6 +120,8 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
         return {"written": [], "skipped": skipped, "config_digest": digest}
     paths, protocols, estimators, seeds = zip(*tasks)
     _capacity_check(network, protocols[0].mode, estimators[0], n_workers)
+    # created once every input is checked, so a rejected run leaves no directory behind
+    _ensure_outdir(out)
     run = partial(_simulate_task, network, config.label, digest)
     with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
         bodies = (pool.map if pool else map)(run, protocols, estimators, seeds)
@@ -133,11 +135,11 @@ def cmd_synth(config: RunConfig, out_dir) -> dict:
     params = config.synth_params()
     _one_file_each("synth.p_list", params["p_list"],
                    lambda p: sqio.trajectory_filename(p, params["seed"]))
-    out = _ensure_outdir(out_dir)
     try:
         trajs = synth_trajectories(**params)
     except ValueError as exc:
         raise ConfigError(f"invalid synth parameters: {exc}") from None
+    out = _ensure_outdir(out_dir)
     digest = config.digest()
     written = []
     for traj in trajs:
@@ -183,7 +185,6 @@ def cmd_scale(config: RunConfig, out_dir) -> dict:
     """Full scaling analysis of a trajectory directory; writes report.json
     and pooled.csv.  Every number in them comes from the config, so its
     digest identifies the report."""
-    out = _ensure_outdir(out_dir)
     combined = load_input_trajectories(config)
     if len(combined) < XI_FIT_MIN_P:
         raise ConfigError(f"the xi fit needs >= {XI_FIT_MIN_P} curves at distinct p, "
@@ -192,6 +193,7 @@ def cmd_scale(config: RunConfig, out_dir) -> dict:
     if not any(matches_anchor(tr.p, anchor_p) for tr in combined):
         raise ConfigError(f"scale.anchor_p = {anchor_p} is not among the input p values "
                           f"{[tr.p for tr in combined]}")
+    out = _ensure_outdir(out_dir)
     result = full_scaling_analysis(combined, anchor_p=anchor_p, **config._given(
         beta_grid="scale.beta_grid", t_min="scale.t_min", growth_t_min="scale.growth_t_min",
         n_bootstrap="scale.n_bootstrap", bootstrap_seed="scale.bootstrap_seed"))

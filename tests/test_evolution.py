@@ -7,18 +7,21 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from spinquench import evolution
 from spinquench.errors import CapacityError, NumericalError
 from spinquench.evolution import (
     TOL,
     Propagator,
     QuenchProtocol,
+    _exact_blocks,
     _spectral_interval,
     evolve_density_exact,
     expm_multiply_krylov,
 )
 from spinquench.mqc import mqc_exact
 from spinquench.network import CouplingNetwork, SpinGeometry, cubic_lattice_geometry, dipolar_couplings
-from spinquench.operators import _apply_mixed_array, dense_hamiltonian, gaussian_state, workspace_for
+from spinquench.operators import (_apply_mixed_array, build_basis, dense_hamiltonian, gaussian_state,
+                                  workspace_for)
 
 from oracles import (basis_vector, evolve_rho_dense, evolve_state_dense, floquet_cycle_dense,
                      h_mixed_dense, iz_total_dense, mqc_weights_dense)
@@ -392,6 +395,27 @@ class TestDensityEvolution:
         for (_, w), rho in zip(evolve_density_exact(net, prot), refs):
             # unnormalized: w must also carry the oracle's total Tr[rho^2]
             assert_allclose(w / np.sum(np.abs(rho) ** 2), mqc_weights_dense(rho, n), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 6], ids=["odd-n", "flip"])
+    @pytest.mark.parametrize("panel", [3, 64], ids=["panel3", "panel64"])
+    def test_panelled_weights_match_whole_array_sums(self, monkeypatch, n, panel):
+        """_Block.weights sums its squares a panel of rows at a time; against
+        the sums over whole arrays, on blocks of d = 16 and a random X, with
+        a panel that divides no d and one larger than d."""
+        blk = _exact_blocks(build_basis(n))[-1]
+        d, k = blk.states.size, blk.n_weights
+        xr, xi = np.random.default_rng(n).standard_normal((2, d, d))
+
+        def sector_sums(sq):
+            return np.add.reduceat(np.add.reduceat(sq, blk.cuts, axis=0), blk.cuts, axis=1).ravel()
+
+        if blk.flip:
+            ref = 0.25 * (np.bincount(blk.same, sector_sums((xr + xr.T) ** 2 + (xi - xi.T) ** 2), k)
+                          + np.bincount(blk.cross, sector_sums((xr - xr.T) ** 2 + (xi + xi.T) ** 2), k))
+        else:
+            ref = np.bincount(blk.same, sector_sums(xr ** 2 + xi ** 2), k)
+        monkeypatch.setattr(evolution, "PANEL_ROWS", panel)
+        assert_allclose(blk.weights(xr, xi), ref + ref[::-1], rtol=1e-13, atol=0)
 
     def test_chain6_quench_spreads_to_fourth_order(self):
         """Regression fixture: 6-spin chain, pure quench, orders reach

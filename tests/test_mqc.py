@@ -274,10 +274,11 @@ class TestTrajectory:
     @pytest.mark.parametrize("p, times, K, message", [
         ("abc", [1.0], [1.0], "finite real number"), ([1], [1.0], [1.0], "finite real number"),
         (True, [1.0], [1.0], "finite real number"), (np.nan, [1.0], [1.0], "finite real number"),
+        (5.0, [1.0], [1.0], r"p must be in \[0, 1\], got 5.0"),
         (0.1, [np.nan], [1.0], "times and K must be finite"),
         (0.1, [1.0], [np.nan], "times and K must be finite"),
         (0.1, [1.0], [np.inf], "times and K must be finite")],
-        ids=["p=abc", "p=[1]", "p=True", "p=nan", "time=nan", "K=nan", "K=inf"])
+        ids=["p=abc", "p=[1]", "p=True", "p=nan", "p=5.0", "time=nan", "K=nan", "K=inf"])
     def test_trajectory_needs_finite_real_values(self, p, times, K, message):
         with pytest.raises(ValueError, match=message):
             ClusterTrajectory(p=p, times=np.array(times), K=np.array(K))
@@ -308,7 +309,7 @@ class TestStatedPeakBytes:
         assert traced <= stated
         assert abs(traced - (stated - allowance)) <= 0.25 * traced
 
-    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("n", [9, 10, 12])
     @pytest.mark.parametrize("mode", ["average", "floquet"])
     def test_exact(self, n, mode):
         protocol = (QuenchProtocol.average(0.3, [0.5, 1.0]) if mode == "average"

@@ -211,13 +211,13 @@ class TestSimulate:
 
     def test_exact_capacity_follows_memory(self, tmp_path, monkeypatch):
         """The exact check compares a byte estimate of the block path with
-        physical memory: in average mode 9 real d x d arrays of one block,
+        physical memory: in average mode 6 real d x d arrays of one block,
         d = 2^(n-2) for even n, plus 48 MiB, plus the workspace: 12 B per
         state for the diagonal and each coupled pair of the sparse
         H_0 + H_dd and 9 B per state for the basis and indptr.  The 5x2x1
         lattice has 10 spins and 45 pairs, so d = 256."""
         text = SIM_SMALL.replace("2, 2, 1", "5, 2, 1").replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0")
-        need = 8 * 256 * 256 * 9 + 48 * 2**20 + 12 * 1024 * (45 + 1) + 9 * 1024
+        need = 8 * 256 * 256 * 6 + 48 * 2**20 + 12 * 1024 * (45 + 1) + 9 * 1024
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             cmd_simulate(RunConfig.parse(text), tmp_path)
@@ -228,11 +228,12 @@ class TestSimulate:
         assert len(cmd_simulate(RunConfig.parse(text), tmp_path)["written"]) == 1
 
     def test_exact_capacity_counts_floquet_unitaries(self, tmp_path, monkeypatch):
-        """Floquet mode holds one block's one-cycle unitaries: 10 real d x d
-        arrays for odd n (a cycle step) and for even n (the unitaries'
-        set-up, or a cycle step).  The 3x1x1 chain has 3 spins, 3 pairs and
-        one block, d = 4; the 5x2x1 lattice has 10 spins and 45 pairs, d = 256."""
-        for shape, n, pairs, d, arrays in (("3, 1, 1", 3, 3, 4, 10), ("5, 2, 1", 10, 45, 256, 10)):
+        """Floquet mode holds one block's one-cycle unitaries: 8 real d x d
+        arrays for odd n (a cycle step) and for even n (a cycle step, or the
+        product that builds the second unitary).  The 3x1x1 chain has 3
+        spins, 3 pairs and one block, d = 4; the 5x2x1 lattice has 10 spins
+        and 45 pairs, d = 256."""
+        for shape, n, pairs, d, arrays in (("3, 1, 1", 3, 3, 4, 8), ("5, 2, 1", 10, 45, 256, 8)):
             text = SIM_SMALL.replace("2, 2, 1", shape).replace("p_sweep = 0.0, 0.6", "p_sweep = 0.0") \
                 .replace("protocol.mode = average", "protocol.mode = floquet\nprotocol.tau_c = 0.3") \
                 .replace("geom:0.4:1.6:3", "1, 2")
@@ -766,6 +767,8 @@ class TestCliExitCodes:
                      "p must be a finite real number, got 'abc'", id="p=abc"),
         pytest.param("scale", lambda text: text.replace("# p=0.0\n", "# p=[1]\n"),
                      "p must be a finite real number, got [1]", id="p=[1]"),
+        pytest.param("scale", lambda text: text.replace("# p=0.0\n", "# p=5.0\n"),
+                     "p must be in [0, 1], got 5.0", id="p=5.0"),
         pytest.param("scale", with_nan_first_k, "times and K must be finite", id="K=nan"),
         pytest.param("synth", {"synth.noise_level": "-1"},
                      "noise_level must be finite and >= 0, got -1.0", id="noise_level=-1"),
@@ -777,7 +780,8 @@ class TestCliExitCodes:
                      "synthetic time grid must be finite and positive", id="time_grid=nan")])
     def test_unchecked_input_exits_two(self, tmp_path, capsys, command, edit, message):
         """Values that parse but that a record rejects exit 2 with the
-        record's message: no traceback, NaN output or dropped noise."""
+        record's message: no traceback, NaN output, dropped noise or empty
+        output directory."""
         if command == "scale":
             runs = tmp_path / "runs"
             cmd_simulate(RunConfig.parse(SIM_SMALL), runs)
@@ -797,6 +801,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_workers_env_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINQUENCH_WORKERS", "many")
