@@ -22,7 +22,7 @@ from .operators import (DensityMatrix, SpinBasis, build_basis, coherence_order_w
 from .pipeline import cmd_plot, cmd_scale, cmd_simulate, cmd_synth
 from .scaling import (BetaScan, CollapseResult, GrowthFit, RescaledCurve, ScalingResult,
                       XiFit, beta_scan, collapse, estimate_k_loc, fit_growth_exponent,
-                      fit_xi, full_scaling_analysis, normalize_xi, rescale,
+                      fit_xi_branch_gauged, full_scaling_analysis, normalize_xi, rescale,
                       synth_trajectories)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

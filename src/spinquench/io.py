@@ -145,10 +145,13 @@ def read_pooled_csv(path) -> list:
     if not lines or lines[0] != "x,y,p":
         raise ConfigError(f"{path}: expected header x,y,p")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        x, y, p = (float(v) for v in line.split(","))
+        try:
+            x, y, p = (float(v) for v in line.split(","))
+        except ValueError:
+            raise ConfigError(f"{path}:{number}: not three numbers x,y,p: {line!r}") from None
         rows.append((x, y, p))
     return rows
 

@@ -239,9 +239,20 @@ def _jsonable(obj):
     return obj
 
 
+#: the report.json entries that plot reads, nested keys joined by dots
+_PLOT_REPORT_KEYS = ("growth.t_min", "collapse.t_min", "beta", "xi",
+                     "fit.A", "fit.B", "fit.nu", "fit.p_c")
+
+
+def _lacks(report, key: str) -> bool:
+    head, _, rest = key.partition(".")
+    return (not isinstance(report, dict) or head not in report
+            or bool(rest) and _lacks(report[head], rest))
+
+
 def cmd_plot(config: RunConfig, out_dir) -> dict:
-    """SVG figures from trajectory files and, when given, a scale report."""
-    out = _ensure_outdir(out_dir)
+    """SVG figures from trajectory files and, when given, a scale report;
+    --out is created once every input is read."""
     combined = load_input_trajectories(config, key="plot.input_dir")
     figures = {"trajectories": plots.plot_trajectories(combined)}
     spectral = next((tr for tr in combined if tr.spectra), None)
@@ -251,18 +262,20 @@ def cmd_plot(config: RunConfig, out_dir) -> dict:
     report_path = config.get("plot.report")
     if report_path:
         report = sqio.read_report_json(report_path)
-        growth = fit_growth_exponent(combined[0],
-                                     t_min=report["growth"]["t_min"])
+        missing = [key for key in _PLOT_REPORT_KEYS if _lacks(report, key)]
+        if missing:
+            raise ConfigError(f"{report_path}: report lacks {', '.join(missing)}")
+        growth = fit_growth_exponent(combined[0], t_min=report["growth"]["t_min"])
         # the collapse's scaling window, which pooled.csv holds too, not
         # the growth-fit window
-        curves = rescale(combined, growth, report["beta"],
-                         t_min=report["collapse"]["t_min"])
+        curves = rescale(combined, growth, report["beta"], t_min=report["collapse"]["t_min"])
         figures["rescaled"] = plots.plot_rescaled(curves)
         pooled_path = Path(report_path).with_name("pooled.csv")
         if pooled_path.exists():
             figures["collapsed"] = plots.plot_collapsed(sqio.read_pooled_csv(pooled_path))
         figures["xi_fit"] = plots.plot_xi_fit(report)
 
+    out = _ensure_outdir(out_dir)
     paths = []
     for name, svg in figures.items():
         path = out / f"{name}.svg"

@@ -16,10 +16,10 @@ two shifts, so the collapse is solved one pair at a time.  Each pair must
 overlap over at least half the shorter curve's span; that floor is a hard
 window on the shift difference, not a penalty, and _pair_mismatch scores
 a whole array of shift differences in one call.  The
-normalized xi(p) is fitted with (A |p - p_c|^nu + B)^(-1) to locate the
-transition.  One fitter serves every xi fit: it bounds p_c to one gap of
-the p grid at a time and, when gauged, profiles out the unknown common
-normalization of the curves below that gap.  The exponent ratio
+normalized xi(p) is fitted with gamma^{[p < p_c]} (A |p - p_c|^nu + B)^(-1)
+to locate the transition: the fit bounds p_c to one gap of the p grid at
+a time and profiles out, as gamma, the unknown common normalization of
+the curves below that gap.  The exponent ratio
 beta = s/nu is not assumed: a scan re-runs the collapse per beta and
 keeps the residual-minimizing value.
 
@@ -52,7 +52,7 @@ GROWTH_SLOPE_MIN = 0.1
 #: local log-log slope below this (in magnitude) counts as saturated
 PLATEAU_SLOPE_MAX = 0.05
 
-#: fewest distinct p the xi fit takes: one per parameter of the gauged model
+#: fewest distinct p the xi fit takes: one per parameter of its model
 XI_FIT_MIN_P = 5
 _XI_PARAMS = ("A", "B", "nu", "p_c")
 
@@ -168,11 +168,12 @@ class CollapseResult:
 
 @dataclass(frozen=True)
 class XiFit:
-    """Bounded least-squares fit of xi(p) = (A |p - p_c|^nu + B)^(-1).
+    """Bounded least-squares fit of xi(p) = gamma^{[p < p_c]} (A |p - p_c|^nu + B)^(-1).
 
     gap is the pair of sampled p that bounds p_c; n_free counts the
-    parameters the fit leaves off their bounds; gamma (None when not
-    gauged) multiplies the factors below the gap and is left out of model.
+    parameters the fit leaves off their bounds; gamma multiplies the
+    factors below the gap and is left out of model, which is the critical
+    form (A |p - p_c|^nu + B)^(-1) alone.
     """
 
     A: float
@@ -183,7 +184,7 @@ class XiFit:
     residual: float
     gap: tuple
     n_free: int
-    gamma: float | None = None
+    gamma: float
 
     def model(self, p) -> np.ndarray:
         delta = np.abs(np.asarray(p, dtype=float) - self.p_c)
@@ -442,9 +443,8 @@ def _xi_inner_fit(ps: np.ndarray, inv_xi: np.ndarray, p_c: float, nu: float):
 
 def _xi_residuals(theta, ps, log_vals, below) -> np.ndarray:
     """ln gamma [below] - log(A |p - p_c|^nu + B) - log xi at theta =
-    (A, B, nu, p_c[, ln gamma]); gamma = 1 without a fifth parameter."""
-    a, b, nu, pc = theta[:4]
-    lng = theta[4] if len(theta) > 4 else 0.0
+    (A, B, nu, p_c, ln gamma)."""
+    a, b, nu, pc, lng = theta
     return lng * below - np.log(a * np.abs(ps - pc) ** nu + b) - log_vals
 
 
@@ -456,27 +456,22 @@ def _xi_jacobian(theta, ps, log_vals, below) -> np.ndarray:
     |Delta|^nu ln|Delta| tends to 0, and 0 is the symmetric value of the
     p_c slope, which is +-inf from the two sides when nu < 1.
     """
-    a, b, nu, pc = theta[:4]
+    a, b, nu, pc, _ = theta
     delta = ps - pc
     u = np.abs(delta) ** nu
     # 1 where Delta = 0, so that u = 0 alone zeroes the nu and p_c entries
     mag = np.where(delta == 0.0, 1.0, np.abs(delta))
     denom = a * u + b
-    cols = [-u / denom, -1.0 / denom, -a * u * np.log(mag) / denom,
-            a * nu * np.sign(delta) * u / mag / denom]
-    if len(theta) > 4:
-        cols.append(below.astype(float))
-    return np.column_stack(cols)
+    return np.column_stack([-u / denom, -1.0 / denom, -a * u * np.log(mag) / denom,
+                            a * nu * np.sign(delta) * u / mag / denom, below.astype(float)])
 
 
 def _polish(x0, ps: np.ndarray, log_vals: np.ndarray, k: int):
     """Bounded least squares with the analytic Jacobian from x0 = (A, B, nu,
-    p_c[, ln gamma]): p_c in [p_{k-1}, p_k], gamma on the k lowest-p factors.
+    p_c, ln gamma): p_c in [p_{k-1}, p_k], gamma on the k lowest-p factors.
     Returns the least_squares result, or None unless it converged."""
     from scipy.optimize import least_squares
-    n_par = len(x0)
-    bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0][:n_par],
-              [np.inf, np.inf, 10.0, ps[k], 5.0][:n_par])
+    bounds = ([1e-12, 0.0, 1e-3, ps[k - 1], -5.0], [np.inf, np.inf, 10.0, ps[k], 5.0])
     try:
         res = least_squares(_xi_residuals, x0, jac=_xi_jacobian, bounds=bounds,
                             args=(ps, log_vals, np.arange(ps.size) < k),
@@ -484,67 +479,6 @@ def _polish(x0, ps: np.ndarray, log_vals: np.ndarray, k: int):
     except ValueError:  # non-finite residuals at x0; LinAlgError is one too
         return None
     return res if res.success or res.cost < 1e-20 else None
-
-
-def _fit_gaps(xi: dict, gaps, gauged: bool) -> XiFit:
-    """Fit log xi = ln gamma [i < k] - log(A |p - p_c|^nu + B), one gap k at a time.
-
-    Each gap scores 5 interior p_c values, times ln gamma in {0, 1, 2, 3}
-    when gauged, with (A, B, nu) seeded by the linear inner fit on the
-    gamma-corrected factors and a bounded search over nu; the start of
-    least initial cost is polished once (_polish).  Only polishes that
-    converge count, and FitError is raised when none does.  The gap of
-    least cost wins; standard errors come from the Jacobian there and are
-    NaN when the fit has no degrees of freedom left.
-    """
-    from scipy.optimize import minimize_scalar
-    ps = np.array(sorted(xi))
-    if ps.size < XI_FIT_MIN_P:
-        raise InsufficientDataError(f"xi fit needs >= {XI_FIT_MIN_P} distinct p values, got {ps.size}")
-    vals = np.array([xi[p] for p in ps])
-    if np.any(vals <= 0):
-        raise FitError("scaling factors must be positive")
-    log_vals = np.log(vals)
-    lngs = (0.0, 1.0, 2.0, 3.0) if gauged else (0.0,)
-    n_par = 5 if gauged else 4
-
-    def initial(pc0, lng0, below):
-        inv = np.exp(lng0 * below) / vals
-        inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
-                                bounds=(0.05, 5.0), method="bounded", options={"xatol": 1e-8})
-        a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
-        return [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0][:n_par]
-
-    best, best_k = None, None
-    for k in gaps:
-        below = np.arange(ps.size) < k
-        x0 = min((initial(pc0, lng0, below) for pc0 in np.linspace(ps[k - 1], ps[k], 7)[1:-1]
-                  for lng0 in lngs),
-                 key=lambda x: float(np.sum(_xi_residuals(np.array(x), ps, log_vals, below) ** 2)))
-        res = _polish(x0, ps, log_vals, k)
-        if res is not None and (best is None or res.cost < best.cost):
-            best, best_k = res, k
-    if best is None:
-        raise FitError(f"xi fit converged from no start in gaps {list(gaps)}")
-    dof = ps.size - n_par
-    if dof > 0:
-        cov = (2.0 * best.cost / dof) * np.linalg.pinv(best.jac.T @ best.jac)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    else:
-        se = np.full(n_par, np.nan)
-    a, b, nu, pc = best.x[:4]
-    return XiFit(A=float(a), B=float(b), nu=float(nu), p_c=float(pc),
-                 std_err=dict(zip(_XI_PARAMS, se[:4].tolist())),
-                 residual=float(np.sqrt(2.0 * best.cost / ps.size)),
-                 gap=(float(ps[best_k - 1]), float(ps[best_k])),
-                 n_free=int(np.count_nonzero(best.active_mask == 0)),
-                 gamma=float(np.exp(best.x[4])) if gauged else None)
-
-
-def fit_xi(xi: dict) -> XiFit:
-    """Fit xi(p) = (A |p - p_c|^nu + B)^(-1) in log space, trying every
-    gap of the p grid for p_c (see _fit_gaps)."""
-    return _fit_gaps(xi, range(1, len(xi)), gauged=False)
 
 
 def fit_xi_branch_gauged(xi: dict) -> XiFit:
@@ -555,18 +489,68 @@ def fit_xi_branch_gauged(xi: dict) -> XiFit:
     on different asymptotic branches whose near-crossover shapes are
     mirror images, so the one linking shift is a soft mode of any
     overlap objective.  The factors below p_c therefore carry one
-    unknown common multiplier.  This fit extends the model to
+    unknown common multiplier, and the model, fitted in log space, is
 
         xi(p) = gamma^{[p < p_c]} * (A |p - p_c|^nu + B)^(-1)
 
-    and fixes, per gap of the p grid, which curves gamma multiplies: the
-    ones below the gap, with p_c bounded to the gap, so the model stays
-    smooth in p_c (a gamma switched on by p < p_c would jump whenever p_c
-    crossed a sampled p, and the fit would stop on a sample).  Only gaps
-    with at least two curves on each side are tried, so gamma stays
-    identifiable.  Returns the winning fit, with its gap and gamma.
+    Per gap of the p grid with at least two curves on each side (so gamma
+    stays identifiable), gamma multiplies the curves below the gap and p_c
+    is bounded to it, so the model stays smooth in p_c (a gamma switched
+    on by p < p_c would jump whenever p_c crossed a sampled p, and the
+    fit would stop on a sample).  Each gap scores 5 interior p_c values
+    times ln gamma in {0, 1, 2, 3}, with (A, B, nu) seeded by the linear
+    inner fit on the gamma-corrected factors and a bounded search over
+    nu, and polishes the start of least initial cost once (_polish).  Of
+    the polishes that converge (FitError when none does), the one of
+    least cost wins; standard errors come from its Jacobian and are NaN
+    when the fit has no degrees of freedom left.
     """
-    return _fit_gaps(xi, range(2, len(xi) - 1), gauged=True)
+    from scipy.optimize import minimize_scalar
+    ps = np.array(sorted(xi))
+    if ps.size < XI_FIT_MIN_P:
+        raise InsufficientDataError(f"xi fit needs >= {XI_FIT_MIN_P} distinct p values, got {ps.size}")
+    vals = np.array([xi[p] for p in ps])
+    if np.any(vals <= 0):
+        raise FitError("scaling factors must be positive")
+    log_vals = np.log(vals)
+
+    def initial(pc0, lng0, below):
+        inv = np.exp(lng0 * below) / vals
+        inner = minimize_scalar(lambda nu: _xi_inner_fit(ps, inv, pc0, nu)[2],
+                                bounds=(0.05, 5.0), method="bounded", options={"xatol": 1e-8})
+        a0, b0, _ = _xi_inner_fit(ps, inv, pc0, inner.x)
+        return [max(a0, 1e-8), max(b0, 1e-10), float(inner.x), pc0, lng0]
+
+    gaps = range(2, ps.size - 1)
+    best, best_k = None, None
+    for k in gaps:
+        below = np.arange(ps.size) < k
+        x0 = min((initial(pc0, lng0, below) for pc0 in np.linspace(ps[k - 1], ps[k], 7)[1:-1]
+                  for lng0 in (0.0, 1.0, 2.0, 3.0)),
+                 key=lambda x: float(np.sum(_xi_residuals(np.array(x), ps, log_vals, below) ** 2)))
+        res = _polish(x0, ps, log_vals, k)
+        if res is not None and (best is None or res.cost < best.cost):
+            best, best_k = res, k
+    if best is None:
+        raise FitError(f"xi fit converged from no start in gaps {list(gaps)}")
+    dof = ps.size - best.x.size
+    if dof > 0:
+        cov = (2.0 * best.cost / dof) * np.linalg.pinv(best.jac.T @ best.jac)
+        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    else:
+        se = np.full(best.x.size, np.nan)
+    a, b, nu, pc, lng = best.x
+    return XiFit(A=float(a), B=float(b), nu=float(nu), p_c=float(pc),
+                 std_err=dict(zip(_XI_PARAMS, se[:4].tolist())),
+                 residual=float(np.sqrt(2.0 * best.cost / ps.size)),
+                 gap=(float(ps[best_k - 1]), float(ps[best_k])),
+                 n_free=int(np.count_nonzero(best.active_mask == 0)),
+                 gamma=float(np.exp(lng)))
+
+
+# kept for the benchmark tracer's WRAPPED row ("spinquench.scaling", "fit_xi",
+# "scaling.xi_fit") in perfbench/tracing.py; the alias goes with that row
+fit_xi = fit_xi_branch_gauged
 
 
 def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 0) -> dict:
@@ -583,10 +567,8 @@ def bootstrap_fit_xi(xi: dict, base: XiFit, n_resamples: int = 100, seed: int = 
     ps = np.array(sorted(xi))
     k = int(np.searchsorted(ps, base.gap[1]))
     log_fitted = np.log(base.model(ps))
-    start = [base.A, base.B, base.nu, base.p_c]
-    if base.gamma is not None:
-        log_fitted[:k] += math.log(base.gamma)
-        start.append(math.log(base.gamma))
+    log_fitted[:k] += math.log(base.gamma)
+    start = [base.A, base.B, base.nu, base.p_c, math.log(base.gamma)]
     log_res = np.log([xi[p] for p in ps]) - log_fitted
     rng = np.random.default_rng(seed)
     fits = []

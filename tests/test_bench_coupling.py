@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spinquench.mqc
-from spinquench import operators, pipeline
+from spinquench import operators, pipeline, scaling
 from spinquench.config import RunConfig
 from spinquench.evolution import Propagator, _apply_mixed_array
 from spinquench.io import atomic_write_text
@@ -59,6 +59,12 @@ def test_bootstrap_and_write_hooks_keep_their_arguments():
     # by name; the write hook reads the text as the second positional one
     assert "n_resamples" in inspect.signature(bootstrap_fit_xi).parameters
     assert list(inspect.signature(atomic_write_text).parameters)[1] == "text"
+
+
+def test_fit_xi_is_the_pipeline_fitter():
+    # the tracer's two scaling.xi_fit rows wrap fit_xi_branch_gauged and
+    # fit_xi; both must name the one xi fit that the pipeline runs
+    assert scaling.fit_xi is scaling.fit_xi_branch_gauged
 
 
 def test_exact_path_is_stepped_as_a_generator():

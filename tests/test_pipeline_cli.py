@@ -803,6 +803,37 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case, message", [
+        pytest.param("missing_input_dir", "not a directory", id="missing-input-dir"),
+        pytest.param("short_pooled_row", ": not three numbers x,y,p: '1.0,2.0'",
+                     id="short-pooled-row"),
+        pytest.param("report_without_keys", "report lacks growth.t_min, collapse.t_min, xi, fit.A",
+                     id="report-without-keys")])
+    def test_unreadable_plot_input_exits_two(self, planted_family, tmp_path, capsys,
+                                             case, message):
+        """plot reads every input before it creates --out: a missing
+        trajectory directory, a pooled.csv row of two numbers and a report
+        without the entries plot reads each exit 2 and leave no --out."""
+        input_dir = planted_family["synth_dir"]
+        report = tmp_path / "scaled" / "report.json"
+        report.parent.mkdir()
+        shutil.copy(planted_family["scale_out"] / "report.json", report)
+        pooled = (planted_family["scale_out"] / "pooled.csv").read_text(encoding="utf-8")
+        if case == "missing_input_dir":
+            input_dir = tmp_path / "missing"
+        elif case == "short_pooled_row":
+            pooled += "1.0,2.0\n"
+            message = f"pooled.csv:{len(pooled.splitlines())}" + message
+        else:
+            report.write_text('{"beta": 1.0}\n', encoding="utf-8")
+        (report.parent / "pooled.csv").write_text(pooled, encoding="utf-8")
+        cfg = write_cfg(tmp_path, f"plot.input_dir = {input_dir}\nplot.report = {report}\n")
+        assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_workers_env_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINQUENCH_WORKERS", "many")
         cfg = write_cfg(tmp_path, SIM_SMALL)

@@ -37,7 +37,6 @@ from spinquench.scaling import (
     collapse,
     estimate_k_loc,
     fit_growth_exponent,
-    fit_xi,
     fit_xi_branch_gauged,
     full_scaling_analysis,
     normalize_xi,
@@ -56,8 +55,8 @@ PLANTED = {"p_c": 0.0266, "nu": 0.4205, "s": 0.4205, "alpha": 2.87,
            "A": 0.58, "B": 0.05}
 
 
-# the plain fit and the branch-gauged fit share one fitter; both must pass
-XI_FITTERS = (fit_xi, fit_xi_branch_gauged)
+# the xi fitters under test: the branch-gauged fit is the only one
+XI_FITTERS = (fit_xi_branch_gauged,)
 
 
 def planted_xi(p):
@@ -528,14 +527,6 @@ class TestXiFit:
             assert fit.p_c == pytest.approx(0.05, rel=1e-8), name
             assert fit.gap == (0.04, 0.06), name
 
-    def test_two_percent_noise_recovery(self):
-        # seed-sensitive at this noise level; pinned seed sits well inside.
-        # Plain fit only: on this draw the gauged fit's gamma absorbs part
-        # of the noise (gamma 0.975, nu 0.481)
-        fit = fit_xi(self.xi_map(noise_seed=7, level=0.02))
-        assert abs(fit.p_c - PLANTED["p_c"]) <= 0.002
-        assert abs(fit.nu - PLANTED["nu"]) <= 0.05
-
     def test_model_matches_parameters(self):
         ps = np.linspace(0.006, 0.1, 9)
         for fitter in XI_FITTERS:
@@ -552,10 +543,8 @@ class TestXiFit:
             assert fit.std_err["p_c"] > 0.0, name
 
     def test_errors_nan_without_degrees_of_freedom(self):
-        # 5 factors: the plain fit keeps one degree of freedom, the gauged
-        # fit's fifth parameter (gamma) uses it up
+        # 5 factors for 5 parameters, gamma the fifth: no degree of freedom
         xi = {p: planted_xi(p) for p in (0.009, 0.014, 0.02, 0.048, 0.075)}
-        assert all(math.isfinite(v) for v in fit_xi(xi).std_err.values())
         assert all(math.isnan(v) for v in fit_xi_branch_gauged(xi).std_err.values())
 
     def test_gauged_p_c_stays_in_its_gap(self):
@@ -601,7 +590,7 @@ class TestXiJacobian:
             cols.append((_xi_residuals(up, *args) - _xi_residuals(down, *args)) / (2.0 * step))
         return np.column_stack(cols)
 
-    @pytest.mark.parametrize("gauged", [False, True])
+    @pytest.mark.parametrize("gauged", [True])
     def test_matches_central_differences(self, gauged):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -615,7 +604,7 @@ class TestXiJacobian:
             assert jac.shape == (len(P_LIST), theta.size)
             np.testing.assert_allclose(jac, self.central(theta, args), rtol=1e-6, atol=1e-6)
 
-    @pytest.mark.parametrize("gauged", [False, True])
+    @pytest.mark.parametrize("gauged", [True])
     def test_finite_with_p_c_on_a_sample(self, gauged):
         # Delta = 0 on row 3: its nu and p_c entries are 0 by definition,
         # the other rows keep their derivatives
@@ -727,8 +716,7 @@ class TestOnePolishPerGap:
     @pytest.mark.parametrize("fitter, grid, n_gaps", [
         (fit_xi_branch_gauged, [0.009, 0.014, 0.02, 0.048, 0.075], 2),
         (fit_xi_branch_gauged, [0.005, 0.009, 0.014, 0.02, 0.033, 0.048, 0.06, 0.075, 0.09,
-                                0.108], 7),
-        (fit_xi, P_LIST, 8)], ids=["gauged-bench-grid", "gauged-script-grid", "plain"])
+                                0.108], 7)], ids=["gauged-bench-grid", "gauged-script-grid"])
     def test_fit(self, polishes, fitter, grid, n_gaps):
         fitter({p: planted_xi(p) for p in grid})
         assert len(polishes) == n_gaps
@@ -884,23 +872,12 @@ class TestFullAnalysis:
         fresh = collapse(rescale(trajs, growth, result.scan.best_beta, 2.0))
         assert result.scan.best.shifts == fresh.shifts
 
-    def test_gauged_fit_reported_without_refit(self, noiseless_family, monkeypatch):
+    def test_gauged_fit_reported_without_refit(self, noiseless_family):
         """A grid with two curves on each side of p_c reports the gauged
-        fit itself: no plain fit_xi call, in the fit or the bootstrap, and
-        p_c inside the fit's gap."""
-        import spinquench.scaling as scaling
-
+        fit itself, bootstraps it, and has p_c inside the fit's gap."""
         trajs, _, _, _ = noiseless_family
-        calls = []
-
-        def counted(xi):
-            calls.append(xi)
-            return fit_xi(xi)
-
-        monkeypatch.setattr(scaling, "fit_xi", counted)
         result = full_scaling_analysis(trajs, anchor_p=0.108, beta_grid=(1.0,), t_min=2.0,
                                        growth_t_min=40.0, n_bootstrap=5)
-        assert calls == []
         assert result.bootstrap["n_effective"] == 5
         lo, hi = result.fit.gap
         assert (lo, hi) in list(zip(P_LIST, P_LIST[1:]))
